@@ -8,8 +8,7 @@ from .hamiltonian import (EnergyBreakdown, Observables, energy, observables,
                           fit_large_rho0_tail)
 from .optimizer import (OptimizeRequest, OptimizeResult, minimize, scan,
                         default_request, DEFAULT_STARTS)
-from .specfun import kummer_m, KummerArgs, landau_cylinder_energy, \
-    bessel_j0_first_zero
+from .specfun import J01, kummer_m, landau_cylinder_energy
 from .hydrogen2d import RadialGrid, ground_energy_2d, ratio_3d_2d
 from .appendix_rep import map_labels, apply_h, verify_table, Poly2
 from .records import ScanRecord

@@ -58,15 +58,6 @@ class Poly2:
                 out[(i, j - 1)] = out.get((i, j - 1), 0.0) + j * v
         return Poly2(out)
 
-    def integrate(self, var: str) -> "Poly2":
-        out = {}
-        for (i, j), v in self.coeffs.items():
-            if var == "r":
-                out[(i + 1, j)] = v / (i + 1)
-            else:
-                out[(i, j + 1)] = v / (j + 1)
-        return Poly2(out)
-
     def __call__(self, r, u):
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)

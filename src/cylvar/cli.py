@@ -109,10 +109,7 @@ def cmd_entropy(args) -> int:
 def cmd_scan(args) -> int:
     grid = [_cfg_from(args, B=b, rho0=r)
             for b in args.B_list for r in args.rho0_list]
-    spec = _spec_from(args)
-    template = optimizer.default_request(
-        SystemConfig(B=1.0, rho0=1.0, coulomb_on=args.coulomb == "on"))
-    records = optimizer.scan(grid, template, spec, jobs=args.jobs)
+    records = optimizer.scan(grid, _spec_from(args), jobs=args.jobs)
     if args.format == "csv":
         write_csv(records, args.out)
     else:

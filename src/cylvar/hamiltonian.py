@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quadrature import QuadratureSpec, cylinder_grid
-from .specfun import landau_cylinder_energy, bessel_j0_first_zero
+from .specfun import landau_cylinder_energy
 from .trialfn import SystemConfig, TrialParams, evaluate
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
 class EnergyBreakdown:
     kinetic: float
     coulomb: float
-    zeeman_linear: float
     zeeman_quadratic: float
     total: float
     norm: float
@@ -43,7 +42,7 @@ class EnergyBreakdown:
     def invalid(cls) -> "EnergyBreakdown":
         """Sentinel for inadmissible parameters (rejected by the optimizer)."""
         nan = float("nan")
-        return cls(nan, nan, nan, nan, math.inf, nan)
+        return cls(nan, nan, nan, math.inf, nan)
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ def _fields(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec):
 def energy(params: TrialParams, cfg: SystemConfig,
            spec: QuadratureSpec) -> EnergyBreakdown:
     """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state."""
-    cfg.require_ground_state()
     if not _admissible(params, cfg):
         return EnergyBreakdown.invalid()
 
@@ -110,12 +108,10 @@ def energy(params: TrialParams, cfg: SystemConfig,
     else:
         coulomb = 0.0
     zeeman_quadratic = (cfg.B**2 / 8.0) * float(np.sum(W * psi2 * R**2)) / norm
-    zeeman_linear = 0.5 * cfg.m * cfg.B
-    total = kinetic + coulomb + zeeman_linear + zeeman_quadratic
+    total = kinetic + coulomb + zeeman_quadratic
     if not math.isfinite(total):
         return EnergyBreakdown.invalid()
     return EnergyBreakdown(kinetic=kinetic, coulomb=coulomb,
-                           zeeman_linear=zeeman_linear,
                            zeeman_quadratic=zeeman_quadratic,
                            total=total, norm=norm)
 
@@ -123,7 +119,6 @@ def energy(params: TrialParams, cfg: SystemConfig,
 def observables(params: TrialParams, cfg: SystemConfig,
                 spec: QuadratureSpec) -> Observables:
     """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp."""
-    cfg.require_ground_state()
     R, Z, W, s = _fields(params, cfg, spec)
     psi2 = s.psi**2
     norm = float(np.sum(W * psi2))
@@ -145,8 +140,6 @@ def reference_energy(cfg: SystemConfig) -> float:
     """Coulomb-free ground energy E0 of the same cavity and field."""
     if math.isinf(cfg.rho0):
         return 0.5 * cfg.B
-    if cfg.B == 0:
-        return bessel_j0_first_zero() ** 2 / (2.0 * cfg.rho0**2)
     return landau_cylinder_energy(cfg.B, cfg.rho0)
 
 

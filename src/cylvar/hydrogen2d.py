@@ -5,15 +5,14 @@ Finite-difference ground-state solver for the m = 0 radial equation
     [-(1/2)(d^2/drho^2 + (1/rho) d/drho) - 1/rho + m^2/(2 rho^2)
      + m B / 2 + B^2 rho^2 / 8] R = E R,   R(rho0) = 0.
 
-The production scheme (offset grid) is a finite-volume discretization of
-the flux form -(1/(2 rho)) (rho R')' on cell centers (i + 1/2) h: the zero
-radial flux at the axis closes the origin without ever evaluating the
-potential there, the matrix symmetrizes exactly under the sqrt(rho)
-similarity scaling, and the eigenvalue converges at second order.  (A
-Liouville u = sqrt(rho) R transformation was tried first and rejected: the
-resulting -1/(8 rho^2) potential leaves an O(1) eigenvalue bias on any
-uniform grid.)  A node-centered grid of the same flux form is kept as a
-cross-check.
+The scheme is a finite-volume discretization of the flux form
+-(1/(2 rho)) (rho R')' on cell centers (i + 1/2) h: the zero radial flux at
+the axis closes the origin without ever evaluating the potential there, the
+matrix symmetrizes exactly under the sqrt(rho) similarity scaling, and the
+eigenvalue converges at second order.  (A Liouville u = sqrt(rho) R
+transformation was tried first and rejected: the resulting -1/(8 rho^2)
+potential leaves an O(1) eigenvalue bias on any uniform grid.)  The tests
+cross-check it against a node-centered grid of the same flux form.
 """
 
 from __future__ import annotations
@@ -33,23 +32,13 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Interior point count and grid style for the disc solver."""
+    """Cell count of the disc solver."""
 
     n: int = 400
-    offset: bool = True
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("grid too coarse")
-
-    def spacing(self, rho0: float) -> float:
-        return rho0 / self.n if self.offset else rho0 / (self.n + 1)
-
-    def points(self, rho0: float) -> np.ndarray:
-        h = self.spacing(rho0)
-        if self.offset:
-            return (np.arange(self.n) + 0.5) * h
-        return np.arange(1, self.n + 1) * h
 
 
 def _potential(rho: np.ndarray, B: float, coulomb_on: bool, m: int):
@@ -61,8 +50,9 @@ def _potential(rho: np.ndarray, B: float, coulomb_on: bool, m: int):
     return v
 
 
-def _eig_offset(B: float, rho0: float, n: int, coulomb_on: bool,
-                m: int) -> float:
+def _lowest_eigenvalue(B: float, rho0: float, grid: RadialGrid,
+                       coulomb_on: bool, m: int) -> float:
+    n = grid.n
     h = rho0 / n
     rho = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h          # cell faces; faces[0] = 0 (no flux)
@@ -76,37 +66,13 @@ def _eig_offset(B: float, rho0: float, n: int, coulomb_on: bool,
     return float(vals[0])
 
 
-def _eig_plain(B: float, rho0: float, n: int, coulomb_on: bool,
-               m: int) -> float:
-    # Node-centered cross-check of the same flux form; the axis is closed
-    # by a zero-derivative ghost (R_0 = R_1), which cancels the inner flux
-    # of the first node.
-    h = rho0 / (n + 1)
-    rho = np.arange(1, n + 1) * h
-    f_lo = rho - 0.5 * h
-    f_hi = rho + 0.5 * h
-    v = _potential(rho, B, coulomb_on, m)
-    diag = (f_lo + f_hi) / (2.0 * rho * h * h) + v
-    diag[0] = f_hi[0] / (2.0 * rho[0] * h * h) + v[0]
-    off = -f_hi[:-1] / (2.0 * h * h * np.sqrt(rho[:-1] * rho[1:]))
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    return float(vals[0])
-
-
-def _lowest_eigenvalue(B: float, rho0: float, grid: RadialGrid,
-                       coulomb_on: bool, m: int) -> float:
-    solver = _eig_offset if grid.offset else _eig_plain
-    return solver(B, rho0, grid.n, coulomb_on, m)
-
-
 def ground_energy_2d(B: float, rho0: float, grid: RadialGrid,
                      coulomb_on: bool = True, m: int = 0) -> float:
     """Richardson-extrapolated lowest eigenvalue from grids n and 2n."""
     if math.isinf(rho0):
         raise ValueError("rho0 must be finite")
     e1 = _lowest_eigenvalue(B, rho0, grid, coulomb_on, m)
-    e2 = _lowest_eigenvalue(B, rho0, RadialGrid(2 * grid.n, grid.offset),
-                            coulomb_on, m)
+    e2 = _lowest_eigenvalue(B, rho0, RadialGrid(2 * grid.n), coulomb_on, m)
     if abs(e2 - e1) > 1e-4:
         raise ResolutionError(
             f"|E_n - E_2n| = {abs(e2 - e1):.3e} at n = {grid.n}; refine the grid")

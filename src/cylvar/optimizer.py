@@ -27,7 +27,7 @@ __all__ = [
     "DEFAULT_STARTS",
     "minimize",
     "scan",
-    "request_for",
+    "default_request",
 ]
 
 _PARAM_NAMES = ("alpha", "beta", "nu", "gamma")
@@ -180,24 +180,6 @@ def default_request(cfg: SystemConfig,
                            starts=starts, **kwargs)
 
 
-def request_for(cfg: SystemConfig, template: OptimizeRequest) -> OptimizeRequest:
-    """Template adapted to one grid point.
-
-    Drops beta from the free set at B = 0 and gamma for finite radii, so a
-    single template can drive a mixed scan grid.
-    """
-    free = list(template.free_params)
-    fixed = dict(template.fixed_values)
-    if cfg.B == 0 and "beta" in free:
-        free.remove("beta")
-        fixed["beta"] = 0.0
-    if not math.isinf(cfg.rho0) and "gamma" in free:
-        free.remove("gamma")
-        fixed.pop("gamma", None)
-    return replace(template, cfg=cfg, free_params=tuple(free),
-                   fixed_values=fixed)
-
-
 def _record_for(cfg: SystemConfig, result: OptimizeResult,
                 spec: QuadratureSpec) -> ScanRecord:
     obs = hamiltonian.observables(result.params, cfg, spec)
@@ -221,9 +203,10 @@ def _failed_record(cfg: SystemConfig) -> ScanRecord:
                       cusp_Z=nan, converged=False, evals=0)
 
 
-def scan(grid: Sequence[SystemConfig], req_template: OptimizeRequest,
-         spec: QuadratureSpec, jobs: int = 1) -> list[ScanRecord]:
-    """One record per grid config, warm-started from the previous optimum.
+def scan(grid: Sequence[SystemConfig], spec: QuadratureSpec,
+         jobs: int = 1) -> list[ScanRecord]:
+    """One record per grid config under its own ``default_request``,
+    warm-started from the previous optimum.
 
     ``jobs > 1`` runs the independent starts of each config in a process
     pool; the start set and the deterministic reduction are identical to
@@ -236,7 +219,7 @@ def scan(grid: Sequence[SystemConfig], req_template: OptimizeRequest,
     prev_params: TrialParams | None = None
     try:
         for cfg in grid:
-            req = request_for(cfg, req_template)
+            req = default_request(cfg)
             starts = req.starts
             if prev_params is not None:
                 warm = prev_params

@@ -12,133 +12,49 @@ E0 reduces to the Dirichlet drum mode j01^2 / (2 rho0^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.optimize import brentq
+from scipy.special import hyp1f1 as kummer_m
+from scipy.special import jn_zeros
 
-__all__ = [
-    "KummerArgs",
-    "KummerSeriesError",
-    "RootBracketError",
-    "kummer_m",
-    "landau_cylinder_energy",
-    "bessel_j0_first_zero",
-    "BESSEL_J0_ZERO_SEED",
-]
+__all__ = ["kummer_m", "landau_cylinder_energy", "J01", "Z_MAX"]
 
-BESSEL_J0_ZERO_SEED = 2.4
+J01 = float(jn_zeros(0, 1)[0])  # first positive zero of J0
 
-_MAX_TERMS = 10_000
+# Largest z = B*rho0^2/2 served.  E0 is B/2 to double precision well below
+# it, but the energies at such radii would come from an ungraded radial rule.
+Z_MAX = 1500.0
+
 _B_BESSEL_LIMIT = 1e-6
-
-
-class KummerSeriesError(RuntimeError):
-    """Power series failed to converge within the term budget."""
-
-
-class RootBracketError(RuntimeError):
-    """No sign change of the Kummer function inside the search bracket."""
-
-    def __init__(self, lo: float, hi: float):
-        self.bracket = (lo, hi)
-        super().__init__(f"no root of the Kummer condition in [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class KummerArgs:
-    a: float
-    b: float = 1.0
-    z: float = 0.0
-
-    def __post_init__(self):
-        if self.b <= 0 and self.b == int(self.b):
-            raise ValueError("b must not be a non-positive integer")
-        # Large-radius reference energies need z = B*rho0^2/2 up to ~1250;
-        # the series stays benign there because the root sits at tiny |a|.
-        if not (0.0 <= self.z <= 1500.0):
-            raise ValueError("z outside the supported range [0, 1500]")
-
-
-def kummer_m(args: KummerArgs) -> float:
-    """M(a, b, z) by direct power series, relative cutoff 1e-15."""
-    a, b, z = args.a, args.b, args.z
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        if abs(term) <= 1e-15 * max(abs(total), 1.0):
-            return total
-    raise KummerSeriesError(
-        f"Kummer series did not converge for a={a}, b={b}, z={z}")
-
-
-def _j0(x: float) -> float:
-    # Ascending series; only needed near x ~ 2.4 where it converges fast.
-    term = 1.0
-    total = 1.0
-    q = 0.25 * x * x
-    for k in range(1, 60):
-        term *= -q / (k * k)
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
-
-
-def _j1(x: float) -> float:
-    term = 0.5 * x
-    total = term
-    q = 0.25 * x * x
-    for k in range(1, 60):
-        term *= -q / (k * (k + 1))
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
-
-
-def bessel_j0_first_zero() -> float:
-    """First positive zero of J0 via Newton iteration (J0' = -J1)."""
-    x = BESSEL_J0_ZERO_SEED
-    for _ in range(50):
-        dx = _j0(x) / _j1(x)  # Newton step: x - J0/J0' = x + J0/J1
-        x += dx
-        if abs(dx) < 1e-14:
-            break
-    return x
 
 
 def landau_cylinder_energy(B: float, rho0: float) -> float:
     """Lowest E0 with a Dirichlet wall at rho0 and axial field B.
 
-    Delegates to the Bessel drum limit for B <= 1e-6.
+    Delegates to the Bessel drum limit for B <= 1e-6.  Otherwise the root
+    lies in [max(B/2, drum), B/2 + drum] with drum = j01^2 / (2 rho0^2), and
+    the Kummer function changes sign only once there.  Raises ValueError
+    for rho0 = inf and for z = B*rho0^2/2 above ``Z_MAX``.
     """
     if math.isinf(rho0):
         raise ValueError("rho0 must be finite")
-    j01 = bessel_j0_first_zero()
-    drum = j01**2 / (2.0 * rho0**2)
+    drum = J01**2 / (2.0 * rho0**2)
     if B <= _B_BESSEL_LIMIT:
         return drum
 
     z = 0.5 * B * rho0**2
+    if z > Z_MAX:
+        raise ValueError(
+            f"z = B*rho0^2/2 = {z:.6g} exceeds {Z_MAX:g}: E0 equals B/2 to "
+            "double precision there, but lifting the cap waits for a graded "
+            "radial quadrature rule (ROADMAP item 3)")
 
     def g(e0: float) -> float:
-        return kummer_m(KummerArgs(a=-(e0 / B - 0.5), b=1.0, z=z))
+        return kummer_m(-(e0 / B - 0.5), 1.0, z)
 
-    # g(B/2) = M(0, 1, z) = 1 exactly, so the scan can start at the Landau
-    # level itself; at large z the ground root sits arbitrarily close to it.
-    lo = 0.5 * B
-    hi = 0.5 * B + 4.0 * drum + 2.0 * B
-    # Walk a fine grid to isolate the lowest sign change, then refine.
-    n_scan = 800
-    e_prev, g_prev = lo, g(lo)
-    for i in range(1, n_scan + 1):
-        e = lo + (hi - lo) * i / n_scan
-        ge = g(e)
-        if g_prev == 0.0:
-            return e_prev
-        if g_prev * ge < 0.0:
-            return float(brentq(g, e_prev, e, xtol=1e-12, rtol=1e-14))
-        e_prev, g_prev = e, ge
-    raise RootBracketError(lo, hi)
+    hi = 0.5 * B + drum
+    if not math.isfinite(g(hi)):
+        # hyp1f1 overflows for z above ~710, where the root lies within
+        # z*exp(-z) of the Landau level.
+        return 0.5 * B
+    return float(brentq(g, max(0.5 * B, drum), hi, xtol=1e-12, rtol=1e-14))

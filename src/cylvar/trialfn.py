@@ -24,7 +24,6 @@ __all__ = [
     "WavefunctionSample",
     "evaluate",
     "density",
-    "cusp_estimate",
 ]
 
 
@@ -47,12 +46,10 @@ class TrialParams:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Physical setting: field strength, cavity radius and state labels."""
+    """Physical setting: field strength, cavity radius, Coulomb term on/off."""
 
     B: float = 0.0
     rho0: float = math.inf
-    m: int = 0
-    p: int = 0
     coulomb_on: bool = True
 
     def __post_init__(self):
@@ -60,16 +57,6 @@ class SystemConfig:
             raise ValueError("B must be non-negative")
         if not self.rho0 > 0:
             raise ValueError("rho0 must be positive (possibly inf)")
-        if self.p not in (0, 1):
-            raise ValueError("p must be 0 or 1")
-
-    def require_ground_state(self):
-        # Operations are specified for (m, p) = (0, 0) only; the p = 1
-        # sector carries an extra z factor that is never optimized here.
-        if self.m != 0 or self.p != 0:
-            raise NotImplementedError(
-                f"only the (m=0, p=0) sector is implemented, got "
-                f"(m={self.m}, p={self.p})")
 
 
 @dataclass(frozen=True)
@@ -84,7 +71,6 @@ def evaluate(params: TrialParams, cfg: SystemConfig, rho, z) -> WavefunctionSamp
 
     Raises ValueError if any rho lies outside the cavity.
     """
-    cfg.require_ground_state()
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(rho > cfg.rho0):
@@ -120,23 +106,3 @@ def density(params: TrialParams, cfg: SystemConfig, rho, z):
     """Unnormalized probability density psi^2."""
     return evaluate(params, cfg, rho, z).psi ** 2
 
-
-def cusp_estimate(params: TrialParams, cfg: SystemConfig,
-                  r_small: float = 1e-3, n_theta: int = 32) -> float:
-    """Numerical Kato-cusp exponent from the spherically averaged density.
-
-    Estimates -(1/2n) dn/dr at r = r_small by central differencing the
-    angular average of psi^2 over cos(theta).  For nu > 1 this converges
-    to alpha as r_small -> 0.
-    """
-    t, w = np.polynomial.legendre.leggauss(n_theta)  # t = cos(theta)
-
-    def n_of(r):
-        rho = r * np.sqrt(1.0 - t**2)
-        z = r * t
-        return 0.5 * np.sum(w * density(params, cfg, rho, z))
-
-    h = 0.5 * r_small
-    n_mid = n_of(r_small)
-    dn = (n_of(r_small + h) - n_of(r_small - h)) / (2.0 * h)
-    return -0.5 * dn / n_mid

@@ -17,8 +17,7 @@ from cylvar.appendix_rep import Poly2, TABLE_ROWS, apply_h, degeneracy_count, \
 from cylvar.hydrogen2d import RadialGrid, _lowest_eigenvalue, ground_energy_2d
 from cylvar.quadrature import QuadratureSpec, integrate_cylinder
 from cylvar.records import write_csv
-from cylvar.specfun import KummerArgs, bessel_j0_first_zero, kummer_m, \
-    landau_cylinder_energy
+from cylvar.specfun import J01, kummer_m, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams, evaluate
 
 import numpy as np
@@ -88,8 +87,7 @@ def _optimum(B, rho0, fixed=None, coulomb_on=True):
 @pytest.fixture(scope="module")
 def b0_records():
     grid = [SystemConfig(B=0.0, rho0=r) for r, *_ in B0_TABLE]
-    template = optimizer.default_request(SystemConfig(B=0.0, rho0=2.0))
-    return optimizer.scan(grid, template, SPEC)
+    return optimizer.scan(grid, SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +161,7 @@ def test_criterion_05_reference_energy_consistency():
             diff = abs(res.energy.total - e0)
             _check(failures, diff <= 5e-4,
                    f"(B={B}, rho0={rho0}): |Evar - E0| = {diff:.1e}")
-    drum = bessel_j0_first_zero() ** 2 / 8.0
+    drum = J01**2 / 8.0
     diff = abs(landau_cylinder_energy(1e-5, 2.0) - drum)
     _check(failures, diff <= 1e-6, f"B->0 limit misses drum mode by {diff:.1e}")
     _gate(5, failures, "Coulomb-off optimum matches the Kummer-root E0")
@@ -225,7 +223,7 @@ def test_criterion_08_dimensional_comparison(b0_records):
     _check(failures, lo > 0.0 > hi,
            f"no 3D sign change in [1.50, 1.65]: E(1.50)={lo:.4f}, "
            f"E(1.65)={hi:.4f}")
-    drum = bessel_j0_first_zero() ** 2 / 2.0
+    drum = J01**2 / 2.0
     errs = [abs(_lowest_eigenvalue(0.0, 1.0, RadialGrid(n), False, 0) - drum)
             for n in (100, 200, 400)]
     _check(failures,
@@ -314,25 +312,24 @@ def test_criterion_11_property_suite(tmp_path):
            "analytic d/dz drifts from finite differences")
 
     br = hamiltonian.energy(params, cfg, SPEC)
-    parts = br.kinetic + br.coulomb + br.zeeman_linear + br.zeeman_quadratic
+    parts = br.kinetic + br.coulomb + br.zeeman_quadratic
     _check(failures, abs(parts - br.total) <= 1e-12,
            "energy breakdown does not sum to the total")
 
     small = QuadratureSpec(48, 48)
     grid = [SystemConfig(B=0.0, rho0=r) for r in (2.0, 3.0)]
-    template = optimizer.default_request(SystemConfig(B=0.0, rho0=2.0))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(optimizer.scan(grid, template, small), p1)
-    write_csv(optimizer.scan(grid, template, small), p2)
+    write_csv(optimizer.scan(grid, small), p1)
+    write_csv(optimizer.scan(grid, small), p2)
     _check(failures, p1.read_bytes() == p2.read_bytes(),
            "scan reruns are not byte-identical")
 
     worst = 0.0
     for a in np.linspace(-8.0, 8.0, 17):
         for zz in np.linspace(0.0, 15.0, 7):
-            m0 = kummer_m(KummerArgs(a=a - 1.0, b=1.0, z=zz))
-            m1 = kummer_m(KummerArgs(a=a, b=1.0, z=zz))
-            m2 = kummer_m(KummerArgs(a=a + 1.0, b=1.0, z=zz))
+            m0 = kummer_m(a - 1.0, 1.0, zz)
+            m1 = kummer_m(a, 1.0, zz)
+            m2 = kummer_m(a + 1.0, 1.0, zz)
             resid = (1.0 - a) * m0 + (2.0 * a - 1.0 + zz) * m1 - a * m2
             worst = max(worst, abs(resid) / max(abs(m0), abs(m1), abs(m2), 1.0))
     _check(failures, worst <= 1e-10,

@@ -64,9 +64,6 @@ def test_poly2_algebra():
     assert p.shift(1, 2).coeffs == {(2, 2): 2.0, (1, 3): -3.0}
     assert p.deriv("r").coeffs == {(0, 0): 2.0}
     assert p.deriv("u").coeffs == {(0, 0): -3.0}
-    # integrate then differentiate is the identity
-    assert p.integrate("r").deriv("r").coeffs == p.coeffs
-    assert p.integrate("u").deriv("u").coeffs == p.coeffs
     assert p(2.0, 1.0) == pytest.approx(1.0)
     assert p.max_abs_coeff() == 3.0
     assert Poly2().max_abs_coeff() == 0.0

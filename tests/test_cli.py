@@ -54,6 +54,11 @@ def test_numeric_failure_exits_1(capsys):
                         "--nodes", "4"], capsys)
     assert code == 1
     assert "error" in err
+    # z = B rho0^2 / 2 = 1800 lies above the Kummer root's cap
+    code, _, err = run(["binding", "--B", "1", "--rho0", "60",
+                        "--alpha", "1", "--beta", "0.1", "--nu", "2"], capsys)
+    assert code == 1
+    assert "E0 equals B/2 to double precision" in err
 
 
 def test_scan_csv_and_json_agree(tmp_path, capsys):

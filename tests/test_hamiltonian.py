@@ -7,7 +7,7 @@ from cylvar.hamiltonian import (EnergyBreakdown, adapted_spec, binding_energy,
                                 energy, fit_large_rho0_tail, observables,
                                 reference_energy)
 from cylvar.quadrature import QuadratureSpec
-from cylvar.specfun import bessel_j0_first_zero, landau_cylinder_energy
+from cylvar.specfun import J01, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams
 
 SPEC = QuadratureSpec(64, 64)
@@ -20,7 +20,6 @@ def test_free_atom_ground_state():
     assert br.total == pytest.approx(-0.5, abs=1e-6)
     assert br.kinetic == pytest.approx(0.5, abs=1e-5)
     assert br.coulomb == pytest.approx(-1.0, abs=1e-5)
-    assert br.zeeman_linear == 0.0
     assert br.zeeman_quadratic == 0.0
 
 
@@ -40,7 +39,7 @@ def test_confined_fixed_point():
 def test_breakdown_additivity_and_signs():
     cfg = SystemConfig(B=0.7, rho0=2.5)
     br = energy(TrialParams(alpha=1.05, beta=0.12, nu=3.0), cfg, SPEC)
-    parts = br.kinetic + br.coulomb + br.zeeman_linear + br.zeeman_quadratic
+    parts = br.kinetic + br.coulomb + br.zeeman_quadratic
     assert abs(parts - br.total) <= 1e-12
     assert br.kinetic >= 0.0
     assert br.coulomb <= 0.0
@@ -63,7 +62,7 @@ def test_pure_confinement_scaling():
     # With the Coulomb term off and B = 0, scaling rho0 -> s*rho0 together
     # with alpha -> alpha/s multiplies the energy by 1/s^2; every value
     # upper-bounds the drum mode.
-    drum = bessel_j0_first_zero() ** 2
+    drum = J01**2
     vals = []
     for rho0 in (1.0, 2.0, 4.0):
         cfg = SystemConfig(B=0.0, rho0=rho0, coulomb_on=False)
@@ -93,7 +92,7 @@ def test_observables_entropy_matches_dblquad(shannon_entropy_dblquad):
 
 def test_reference_energy_branches():
     assert reference_energy(SystemConfig(B=0.8, rho0=math.inf)) == 0.4
-    drum = bessel_j0_first_zero() ** 2 / 8.0
+    drum = J01**2 / 8.0
     assert reference_energy(SystemConfig(B=0.0, rho0=2.0)) == pytest.approx(drum)
     cfg = SystemConfig(B=0.6, rho0=3.0)
     assert reference_energy(cfg) == landau_cylinder_energy(0.6, 3.0)

@@ -2,11 +2,31 @@ import math
 
 import pytest
 
-from cylvar.hydrogen2d import (RadialGrid, ResolutionError, _lowest_eigenvalue,
-                               ground_energy_2d, ratio_3d_2d)
-from cylvar.specfun import bessel_j0_first_zero
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-DRUM = bessel_j0_first_zero() ** 2 / 2.0
+from cylvar.hydrogen2d import (RadialGrid, ResolutionError, _lowest_eigenvalue,
+                               _potential, ground_energy_2d, ratio_3d_2d)
+from cylvar.specfun import J01
+
+DRUM = J01**2 / 2.0
+
+
+def _eig_plain(B: float, rho0: float, n: int, coulomb_on: bool,
+               m: int) -> float:
+    # Node-centered cross-check of the solver's flux form; the axis is
+    # closed by a zero-derivative ghost (R_0 = R_1), which cancels the inner
+    # flux of the first node.
+    h = rho0 / (n + 1)
+    rho = np.arange(1, n + 1) * h
+    f_lo = rho - 0.5 * h
+    f_hi = rho + 0.5 * h
+    v = _potential(rho, B, coulomb_on, m)
+    diag = (f_lo + f_hi) / (2.0 * rho * h * h) + v
+    diag[0] = f_hi[0] / (2.0 * rho[0] * h * h) + v[0]
+    off = -f_hi[:-1] / (2.0 * h * h * np.sqrt(rho[:-1] * rho[1:]))
+    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    return float(vals[0])
 
 
 def test_free_limit_is_minus_two():
@@ -21,10 +41,10 @@ def test_drum_mode_without_coulomb():
 
 
 def test_plain_grid_cross_check():
-    off = ground_energy_2d(0.0, 1.0, RadialGrid(400, offset=True),
-                           coulomb_on=False)
-    plain = ground_energy_2d(0.0, 1.0, RadialGrid(400, offset=False),
-                             coulomb_on=False)
+    off = ground_energy_2d(0.0, 1.0, RadialGrid(400), coulomb_on=False)
+    # Richardson step from n and 2n, as ground_energy_2d takes it.
+    e1, e2 = (_eig_plain(0.0, 1.0, n, False, 0) for n in (400, 800))
+    plain = (4.0 * e2 - e1) / 3.0
     assert off == pytest.approx(plain, abs=1e-7)
 
 
@@ -56,17 +76,6 @@ def test_infinite_radius_rejected():
 def test_grid_validation():
     with pytest.raises(ValueError):
         RadialGrid(8)
-
-
-def test_grid_points_layout():
-    g = RadialGrid(100, offset=True)
-    pts = g.points(2.0)
-    assert pts[0] == pytest.approx(0.01)
-    assert pts[-1] == pytest.approx(2.0 - 0.01)
-    g = RadialGrid(100, offset=False)
-    pts = g.points(2.0)
-    assert pts[0] == pytest.approx(2.0 / 101.0)
-    assert pts[-1] == pytest.approx(2.0 * 100.0 / 101.0)
 
 
 def test_ratio_accepts_plain_energy_and_result_objects():

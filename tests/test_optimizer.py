@@ -4,8 +4,7 @@ import pytest
 
 from cylvar import hamiltonian
 from cylvar.optimizer import (DEFAULT_STARTS, OptimizeRequest, OptimizeResult,
-                              _select_best, default_request, minimize,
-                              request_for, scan)
+                              _select_best, default_request, minimize, scan)
 from cylvar.quadrature import QuadratureSpec
 from cylvar.trialfn import SystemConfig, TrialParams
 
@@ -77,23 +76,10 @@ def test_request_validation():
                         fixed_values={"beta": 0.0}, tol_energy=0.0)
 
 
-def test_request_for_adapts_template():
-    template = default_request(SystemConfig(B=1.0, rho0=2.0))
-    assert set(template.free_params) == {"alpha", "beta", "nu"}
-    adapted = request_for(SystemConfig(B=0.0, rho0=3.0), template)
-    assert "beta" not in adapted.free_params
-    assert adapted.fixed_values["beta"] == 0.0
-
-    template = default_request(SystemConfig(B=1.0, rho0=math.inf))
-    assert set(template.free_params) == {"alpha", "beta", "gamma"}
-    adapted = request_for(SystemConfig(B=1.0, rho0=2.0), template)
-    assert "gamma" not in adapted.free_params
-
-
 def test_select_best_tiebreak():
     def cand(e, nu, beta, idx):
         params = TrialParams(alpha=1.0, beta=beta, nu=nu)
-        br = hamiltonian.EnergyBreakdown(0, 0, 0, 0, e, 1.0)
+        br = hamiltonian.EnergyBreakdown(0, 0, 0, e, 1.0)
         return OptimizeResult(params=params, energy=br, evals=1,
                               converged=True, start_index=idx)
 
@@ -111,8 +97,7 @@ def test_select_best_tiebreak():
 def test_scan_produces_one_record_per_config():
     spec = QuadratureSpec(48, 48)
     grid = [SystemConfig(B=0.0, rho0=r) for r in (2.0, 2.5)]
-    template = default_request(SystemConfig(B=0.0, rho0=2.0))
-    records = scan(grid, template, spec)
+    records = scan(grid, spec)
     assert [r.rho0 for r in records] == [2.0, 2.5]
     assert all(r.converged for r in records)
     assert records[0].E > records[1].E  # energy decreases with the radius
@@ -120,9 +105,19 @@ def test_scan_produces_one_record_per_config():
     assert records[0].bound_state and records[1].bound_state
 
 
+def test_scan_optimizes_gamma_at_infinite_radius():
+    # The unconfined row follows a finite-radius one, as in a CLI scan.
+    cfg = SystemConfig(B=0.5, rho0=math.inf)
+    _, row = scan([SystemConfig(B=0.5, rho0=2.0), cfg], SPEC)
+    req = default_request(cfg)
+    assert row.gamma is not None
+    assert row.nu == 2.0
+    assert row.E <= minimize(req, SPEC).energy.total + req.tol_energy
+
+
 def test_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
-        scan([], default_request(SystemConfig(B=0.0, rho0=2.0)), SPEC)
+        scan([], SPEC)
 
 
 def test_default_starts_are_admissible():

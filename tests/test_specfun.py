@@ -1,24 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from cylvar.specfun import (KummerArgs, RootBracketError, bessel_j0_first_zero,
-                            kummer_m, landau_cylinder_energy)
+from cylvar.specfun import J01, Z_MAX, kummer_m, landau_cylinder_energy
 
-J01 = 2.404825557695773  # first zero of J0, standard tables
+J01_TABLE = 2.404825557695773  # first zero of J0, standard tables
 
 
 def test_kummer_closed_forms():
-    assert kummer_m(KummerArgs(a=0.3, b=1.0, z=0.0)) == 1.0
+    assert kummer_m(0.3, 1.0, 0.0) == 1.0
     for z in (0.5, 2.0, 10.0):
         # M(a, a, z) = e^z
-        assert kummer_m(KummerArgs(a=1.0, b=1.0, z=z)) == pytest.approx(
-            math.exp(z), rel=1e-14)
+        assert kummer_m(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-14)
         # polynomial cases: M(-1, 1, z) = 1 - z, M(-2, 1, z) = 1 - 2z + z^2/2
-        assert kummer_m(KummerArgs(a=-1.0, b=1.0, z=z)) == pytest.approx(
-            1.0 - z, rel=1e-14)
-        assert kummer_m(KummerArgs(a=-2.0, b=1.0, z=z)) == pytest.approx(
+        assert kummer_m(-1.0, 1.0, z) == pytest.approx(1.0 - z, rel=1e-14)
+        assert kummer_m(-2.0, 1.0, z) == pytest.approx(
             1.0 - 2.0 * z + z**2 / 2.0, rel=1e-13)
 
 
@@ -27,30 +25,27 @@ def test_kummer_recurrence():
     b = 1.0
     for a in np.linspace(-10.0, 10.0, 21):
         for z in np.linspace(0.0, 20.0, 11):
-            m0 = kummer_m(KummerArgs(a=a - 1.0, b=b, z=z))
-            m1 = kummer_m(KummerArgs(a=a, b=b, z=z))
-            m2 = kummer_m(KummerArgs(a=a + 1.0, b=b, z=z))
+            m0 = kummer_m(a - 1.0, b, z)
+            m1 = kummer_m(a, b, z)
+            m2 = kummer_m(a + 1.0, b, z)
             resid = (b - a) * m0 + (2.0 * a - b + z) * m1 - a * m2
             scale = max(abs(m0), abs(m1), abs(m2), 1.0)
             assert abs(resid) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(a=1.0, b=0.0), dict(a=1.0, b=-2.0),
-    dict(a=1.0, z=-0.5), dict(a=1.0, z=2000.0),
-])
-def test_kummer_args_validation(kwargs):
-    with pytest.raises(ValueError):
-        KummerArgs(**kwargs)
+@pytest.mark.parametrize("B, rho0", [(2.0, 40.0), (1.0, 60.0)])
+def test_z_cap_refusal(B, rho0):
+    assert 0.5 * B * rho0**2 > Z_MAX
+    with pytest.raises(ValueError, match="E0 equals B/2 to double precision"):
+        landau_cylinder_energy(B, rho0)
 
 
 def test_bessel_zero():
-    j = bessel_j0_first_zero()
-    assert j == pytest.approx(J01, abs=1e-12)
+    assert J01 == pytest.approx(J01_TABLE, abs=1e-12)
 
 
 def test_drum_limit_small_field():
-    drum = J01**2 / (2.0 * 2.0**2)
+    drum = J01_TABLE**2 / (2.0 * 2.0**2)
     assert landau_cylinder_energy(0.0, 2.0) == pytest.approx(drum, abs=1e-12)
     # above the delegation threshold the root must still sit on the drum mode
     assert landau_cylinder_energy(1e-5, 2.0) == pytest.approx(drum, abs=1e-6)
@@ -61,6 +56,48 @@ def test_root_above_landau_level():
         for rho0 in (1.0, 2.0, 5.0):
             e0 = landau_cylinder_energy(B, rho0)
             assert e0 > 0.5 * B
+
+
+def test_root_lies_in_drum_landau_bracket():
+    for B in (1e-3, 0.05, 0.3, 1.0, 2.0):
+        for rho0 in (0.5, 0.8, 1.5, 3.0, 6.0, 12.0, 30.0):
+            drum = J01**2 / (2.0 * rho0**2)
+            e0 = landau_cylinder_energy(B, rho0)
+            assert max(0.5 * B, drum) <= e0 <= 0.5 * B + drum
+
+
+def _mpmath_root(B, rho0):
+    """The same root at 30 digits, bisected for d = E0 - B/2 in the same
+    bracket.  M is steeper than e^z/z in d near the root, so the residual
+    test of findroot is replaced by a sign change across d +- 1e-25."""
+    with mpmath.workdps(30):
+        B, rho0 = mpmath.mpf(B), mpmath.mpf(rho0)
+        z = B * rho0**2 / 2
+        drum = mpmath.besseljzero(0, 1) ** 2 / (2 * rho0**2)
+
+        def f(d):
+            return mpmath.hyp1f1(-d / B, 1, z)
+
+        d = mpmath.findroot(f, (max(0, drum - B / 2), drum), solver="bisect",
+                            verify=False)
+        eps = mpmath.mpf("1e-25")
+        assert f(d - eps) > 0 > f(d + eps)
+        return float(B / 2 + d)
+
+
+@pytest.mark.parametrize("B, rho0", [
+    (0.05, 2.0),     # z = 0.1, drum-dominated
+    (1.0, 1.0),      # z = 0.5
+    (0.4, 3.0),      # z = 1.8
+    (1.0, 2.0),      # z = 2
+    (0.8, 5.0),      # z = 10
+    (2.0, 5.0),      # z = 25
+    (0.5, 20.0),     # z = 100
+    (1.0, 37.4),     # z = 699.4
+])
+def test_root_matches_mpmath(B, rho0):
+    assert landau_cylinder_energy(B, rho0) == pytest.approx(
+        _mpmath_root(B, rho0), rel=1e-10)
 
 
 def test_wide_cavity_reaches_landau_level():
@@ -77,7 +114,7 @@ def test_monotonicity():
 
 def test_known_root_value():
     # Frozen from a fine-bracket run of this solver; guards against
-    # regressions in the scan/refine logic.
+    # regressions in the root bracketing.
     assert landau_cylinder_energy(1.0, 2.0) == pytest.approx(
         0.8294778, abs=1e-6)
 
@@ -85,8 +122,3 @@ def test_known_root_value():
 def test_infinite_radius_rejected():
     with pytest.raises(ValueError):
         landau_cylinder_energy(1.0, math.inf)
-
-
-def test_root_bracket_error_carries_bracket():
-    err = RootBracketError(0.5, 2.5)
-    assert err.bracket == (0.5, 2.5)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cylvar.trialfn import (SystemConfig, TrialParams, cusp_estimate, density,
-                            evaluate)
+from cylvar.trialfn import SystemConfig, TrialParams, density, evaluate
 
 RNG = np.random.default_rng(7)
 
@@ -70,27 +69,9 @@ def test_rho_outside_cavity_raises():
         evaluate(TrialParams(alpha=1.0), cfg, 2.5, 0.0)
 
 
-@pytest.mark.parametrize("kwargs", [dict(m=1), dict(p=1), dict(m=-1, p=1)])
-def test_excited_sectors_are_flagged(kwargs):
-    cfg = SystemConfig(B=0.0, rho0=2.0, **kwargs)
-    with pytest.raises(NotImplementedError):
-        evaluate(TrialParams(alpha=1.0), cfg, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("bad", [dict(B=-0.1), dict(rho0=0.0), dict(p=2)])
+@pytest.mark.parametrize("bad", [dict(B=-0.1), dict(rho0=0.0),
+                                 dict(rho0=math.nan)])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         SystemConfig(**bad)
 
-
-def test_cusp_estimate_recovers_alpha():
-    cfg = SystemConfig(B=0.5, rho0=2.0)
-    params = TrialParams(alpha=1.08, beta=0.1, nu=3.0)
-    est = cusp_estimate(params, cfg)
-    assert est == pytest.approx(params.alpha, rel=5e-3)
-
-
-def test_cusp_estimate_free_atom_exact():
-    cfg = SystemConfig(B=0.0, rho0=math.inf)
-    est = cusp_estimate(TrialParams(alpha=1.0, gamma=0.0), cfg)
-    assert est == pytest.approx(1.0, rel=1e-6)
