@@ -17,7 +17,8 @@ from . import hamiltonian, optimizer
 from .hydrogen2d import RadialGrid, ground_energy_2d, ratio_3d_2d
 from .appendix_rep import verify_table
 from .quadrature import QuadratureSpec
-from .records import CSV_HEADER, ScanRecord, format_float, write_csv, write_json
+from .records import (CSV_HEADER, ScanRecord, format_float, format_row,
+                      write_csv, write_json)
 from .trialfn import SystemConfig, TrialParams
 
 __all__ = ["main"]
@@ -63,14 +64,15 @@ def _single_record(args) -> ScanRecord:
     spec = _spec_from(args)
     fixed = _fixed_from(args)
     req = optimizer.default_request(cfg, fixed=fixed)
+    # The reference energy first: it refuses some inputs outright.
+    e0 = hamiltonian.reference_energy(cfg)
     result = optimizer.minimize(req, spec)
-    return optimizer._record_for(cfg, result, spec)
+    return optimizer.record_for(cfg, result, spec, e0)
 
 
 def _print_record(rec: ScanRecord):
     print(CSV_HEADER)
-    from .records import _row
-    print(",".join(_row(rec)))
+    print(",".join(format_row(rec)))
 
 
 def cmd_energy(args) -> int:

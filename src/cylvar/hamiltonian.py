@@ -16,13 +16,16 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, cylinder_grid
 from .specfun import landau_cylinder_energy
-from .trialfn import SystemConfig, TrialParams, evaluate
+from .trialfn import Geometry, SystemConfig, TrialParams, evaluate, sample
 
 __all__ = [
     "EnergyBreakdown",
     "Observables",
     "adapted_spec",
     "energy",
+    "FixedRule",
+    "fixed_rule",
+    "energy_gradient",
     "observables",
     "reference_energy",
     "binding_energy",
@@ -114,6 +117,47 @@ def energy(params: TrialParams, cfg: SystemConfig,
     return EnergyBreakdown(kinetic=kinetic, coulomb=coulomb,
                            zeeman_quadratic=zeeman_quadratic,
                            total=total, norm=norm)
+
+
+@dataclass(frozen=True)
+class FixedRule:
+    """A quadrature rule held fixed for one solve, with the parameter-free
+    arrays on its nodes: weights, geometry and the potential U."""
+
+    weights: np.ndarray
+    geom: Geometry
+    potential: np.ndarray
+
+
+def fixed_rule(params: TrialParams, cfg: SystemConfig,
+               spec: QuadratureSpec) -> FixedRule:
+    """The rule ``energy`` would use at ``params``, frozen."""
+    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
+    geom = Geometry(cfg, R, Z)
+    potential = (cfg.B**2 / 8.0) * geom.rho2
+    if cfg.coulomb_on:
+        potential = potential - 1.0 / geom.r
+    return FixedRule(weights=W, geom=geom, potential=potential)
+
+
+def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
+                    wrt: tuple[str, ...]) -> tuple[float, np.ndarray]:
+    """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in ``wrt``.
+
+    With N = int psi^2, dE/dtheta = [int grad psi . grad(d psi)
+    + 2 int psi d psi (U - E)] / N, exact for the rule's nodes and weights.
+    """
+    s, derivs = sample(params, cfg, rule.geom, wrt)
+    w_psi = rule.weights * s.psi
+    w_drho = rule.weights * s.dpsi_drho
+    w_dz = rule.weights * s.dpsi_dz
+    norm = np.vdot(w_psi, s.psi)
+    e = (0.5 * (np.vdot(w_drho, s.dpsi_drho) + np.vdot(w_dz, s.dpsi_dz))
+         + np.vdot(w_psi * rule.potential, s.psi)) / norm
+    w_u = 2.0 * w_psi * (rule.potential - e)
+    grad = np.array([np.vdot(w_drho, d.dpsi_drho) + np.vdot(w_dz, d.dpsi_dz)
+                     + np.vdot(w_u, d.psi) for d in derivs]) / norm
+    return float(e), grad
 
 
 def observables(params: TrialParams, cfg: SystemConfig,

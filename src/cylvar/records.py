@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, asdict, field
 
 __all__ = ["ScanRecord", "CSV_HEADER", "write_csv", "write_json",
-           "read_csv", "read_json", "format_float"]
+           "read_csv", "read_json", "format_float", "format_row"]
 
 CSV_HEADER = ("B,rho0,E,alpha,beta,nu,gamma,E0,Eb,mean_rho,mean_abs_z,"
               "aspect_ratio,shannon_r,cusp_Z,converged,evals,bound_state")
@@ -52,7 +52,8 @@ def format_float(x) -> str:
     return f"{x:.9g}"
 
 
-def _row(rec: ScanRecord) -> list[str]:
+def format_row(rec: ScanRecord) -> list[str]:
+    """The CSV fields of one record, as ``write_csv`` writes them."""
     d = asdict(rec)
     out = [format_float(d[k]) for k in _FLOAT_FIELDS]
     out.append("true" if rec.converged else "false")
@@ -75,7 +76,7 @@ def write_csv(records, path):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_FIELDS)
         for rec in records:
-            w.writerow(_row(rec))
+            w.writerow(format_row(rec))
 
 
 def read_csv(path) -> list[ScanRecord]:

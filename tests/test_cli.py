@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from cylvar import optimizer
 from cylvar.cli import main, _default_jobs, _parse_rho0
 from cylvar.records import CSV_HEADER, read_csv, read_json
+from cylvar.specfun import Z_MAX
 
 
 def run(argv, capsys):
@@ -58,6 +60,18 @@ def test_numeric_failure_exits_1(capsys):
     code, _, err = run(["binding", "--B", "1", "--rho0", "60",
                         "--alpha", "1", "--beta", "0.1", "--nu", "2"], capsys)
     assert code == 1
+    assert "E0 equals B/2 to double precision" in err
+
+
+def test_refused_request_exits_before_optimizing(monkeypatch, capsys):
+    def minimize(*args):
+        raise RuntimeError("minimize was called")
+
+    monkeypatch.setattr(optimizer, "minimize", minimize)
+    # z = B rho0^2 / 2 = 1800 lies above the Kummer root's cap
+    code, _, err = run(["binding", "--B", "1", "--rho0", "60"], capsys)
+    assert code == 1
+    assert f"exceeds {Z_MAX:g}" in err
     assert "E0 equals B/2 to double precision" in err
 
 

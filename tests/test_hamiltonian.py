@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cylvar.hamiltonian import (EnergyBreakdown, adapted_spec, binding_energy,
-                                energy, fit_large_rho0_tail, observables,
-                                reference_energy)
+                                energy, energy_gradient, fit_large_rho0_tail,
+                                fixed_rule, observables, reference_energy)
 from cylvar.quadrature import QuadratureSpec
 from cylvar.specfun import J01, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams
@@ -71,6 +73,29 @@ def test_pure_confinement_scaling():
         vals.append(br.total * rho0**2)
     assert vals[0] == pytest.approx(vals[1], rel=1e-6)
     assert vals[0] == pytest.approx(vals[2], rel=1e-6)
+
+
+@pytest.mark.parametrize("params,cfg,wrt", [
+    (TrialParams(alpha=1.2, beta=0.15, nu=2.5), SystemConfig(B=0.4, rho0=2.0),
+     ("alpha", "beta", "nu")),
+    (TrialParams(alpha=0.9, beta=0.3, gamma=0.4),
+     SystemConfig(B=0.5, rho0=math.inf), ("alpha", "beta", "gamma")),
+    (TrialParams(alpha=1.3, beta=0.0, nu=2.5), SystemConfig(B=0.0, rho0=2.0),
+     ("alpha", "nu")),
+])
+def test_energy_gradient_matches_central_differences(params, cfg, wrt):
+    rule = fixed_rule(params, cfg, SPEC)
+    e, grad = energy_gradient(params, cfg, rule, wrt)
+    # On the rule energy() would build at these parameters, the same number.
+    assert e == pytest.approx(energy(params, cfg, SPEC).total, rel=1e-13)
+    h = 1e-6
+    fd = []
+    for name in wrt:
+        v = getattr(params, name)
+        up, dn = (energy_gradient(replace(params, **{name: v + step}), cfg,
+                                  rule, ())[0] for step in (h, -h))
+        fd.append((up - dn) / (2.0 * h))
+    np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
 def test_observables_free_atom():

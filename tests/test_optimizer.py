@@ -37,11 +37,54 @@ def test_determinism(free_nu_rho2):
     assert again == free_nu_rho2
 
 
-def test_all_fixed_degenerates_to_single_evaluation():
+# Optima of the multi-start Nelder-Mead optimizer this one replaced, at 64
+# nodes: (B, rho0) -> E.  Acceptance criteria 1 and 4 use these points.
+NELDER_MEAD_OPTIMA = {
+    (0.0, 2.0): -0.27675625524342395,
+    (0.4, 0.8): 2.6592098056004247,
+    (0.8, 2.0): -0.2233946067335111,
+    (1.0, 5.0): -0.3301883872671241,
+}
+
+
+@pytest.mark.parametrize("point", sorted(NELDER_MEAD_OPTIMA))
+def test_same_optimum_as_nelder_mead(point):
+    res = minimize(default_request(SystemConfig(*point)), SPEC)
+    assert res.converged
+    assert abs(res.energy.total - NELDER_MEAD_OPTIMA[point]) <= 1e-9
+
+
+def test_evals_count_every_objective_evaluation(monkeypatch):
+    calls = 0
+    gradient = hamiltonian.energy_gradient
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gradient(*args)
+
+    monkeypatch.setattr(hamiltonian, "energy_gradient", counted)
+    req = default_request(SystemConfig(B=0.4, rho0=2.0))
+    res = minimize(req, SPEC)
+    assert res.evals == calls
+    assert calls > len(req.starts)
+
+
+def test_all_fixed_degenerates_to_single_evaluation(monkeypatch):
     cfg = SystemConfig(B=0.0, rho0=2.0)
     fixed = {"alpha": 1.1, "beta": 0.0, "nu": 3.5}
+    calls = 0
+    energy = hamiltonian.energy
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return energy(*args)
+
+    monkeypatch.setattr(hamiltonian, "energy", counted)
     res = minimize(default_request(cfg, fixed=fixed), SPEC)
-    assert res.evals == 1
+    monkeypatch.undo()
+    assert res.evals == calls == 1
     assert res.converged
     direct = hamiltonian.energy(TrialParams(**fixed), cfg, SPEC)
     assert res.energy.total == direct.total
@@ -65,6 +108,10 @@ def test_request_validation():
     with pytest.raises(ValueError):  # gamma needs rho0 = inf
         OptimizeRequest(cfg=cfg, free_params=("alpha", "gamma"),
                         fixed_values={"beta": 0.0, "nu": 2.0})
+    with pytest.raises(ValueError):  # nu is inert at rho0 = inf
+        OptimizeRequest(cfg=SystemConfig(B=0.0, rho0=math.inf),
+                        free_params=("alpha", "nu"),
+                        fixed_values={"beta": 0.0})
     with pytest.raises(ValueError):  # nu neither free nor fixed
         OptimizeRequest(cfg=cfg, free_params=("alpha",),
                         fixed_values={"beta": 0.0})
@@ -113,6 +160,12 @@ def test_scan_optimizes_gamma_at_infinite_radius():
     assert row.gamma is not None
     assert row.nu == 2.0
     assert row.E <= minimize(req, SPEC).energy.total + req.tol_energy
+
+
+def test_scan_does_not_depend_on_jobs():
+    spec = QuadratureSpec(48, 48)
+    grid = [SystemConfig(B=b, rho0=r) for b in (0.0, 0.5) for r in (1.5, 2.5)]
+    assert scan(grid, spec, jobs=2) == scan(grid, spec, jobs=1)
 
 
 def test_scan_rejects_empty_grid():
