@@ -1,8 +1,9 @@
 """Command-line driver: scans, single-point energies, reports.
 
-Exit codes: 0 success, 1 numeric/runtime failure, 2 usage error.  Flags can
-also be supplied through a JSON config file (``--config``); explicit flags
-win.  ``CYLVAR_JOBS`` sets the default worker count for scans.
+Exit codes: 0 success, 1 numeric/runtime failure (a pinned parameter outside
+the admissible set among them), 2 usage error.  Each flag takes its value
+from the command line, else from the JSON object in the ``--config`` file,
+else (``--jobs`` only) from ``CYLVAR_JOBS``, else from its built-in default.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ import os
 import sys
 
 from . import hamiltonian, optimizer
-from .hydrogen2d import RadialGrid, ground_energy_2d, ratio_3d_2d
+from .hydrogen2d import RadialGrid, ground_energy_2d
 from .appendix_rep import verify_table
 from .quadrature import QuadratureSpec
 from .records import (CSV_HEADER, ScanRecord, format_float, format_row,
                       write_csv, write_json)
-from .trialfn import SystemConfig, TrialParams
+from .trialfn import SystemConfig
 
 __all__ = ["main"]
 
 _PARAM_FLAGS = ("alpha", "beta", "nu", "gamma")
+_RHO0_LIST = "2.5,3.0,3.5,4.0,4.5,5.0"
 
 
 def _parse_rho0(text: str) -> float:
@@ -35,12 +37,12 @@ def _parse_rho0(text: str) -> float:
     return value
 
 
-def _parse_list(text: str, parse=float) -> list[float]:
-    return [parse(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("CYLVAR_JOBS", "1"))
+def _rho0_list(text: str) -> list[float]:
+    return [_parse_rho0(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _spec_from(args) -> QuadratureSpec:
@@ -60,14 +62,8 @@ def _fixed_from(args) -> dict:
 
 
 def _single_record(args) -> ScanRecord:
-    cfg = _cfg_from(args)
-    spec = _spec_from(args)
-    fixed = _fixed_from(args)
-    req = optimizer.default_request(cfg, fixed=fixed)
-    # The reference energy first: it refuses some inputs outright.
-    e0 = hamiltonian.reference_energy(cfg)
-    result = optimizer.minimize(req, spec)
-    return optimizer.record_for(cfg, result, spec, e0)
+    return optimizer.point_record(_cfg_from(args), _spec_from(args),
+                                  fixed=_fixed_from(args))
 
 
 def _print_record(rec: ScanRecord):
@@ -129,7 +125,7 @@ def cmd_compare2d(args) -> int:
             cfg = _cfg_from(args, B=b, rho0=r)
             res = optimizer.minimize(optimizer.default_request(cfg), spec)
             e2 = ground_energy_2d(b, r, grid2d)
-            ratio = ratio_3d_2d(b, r, res, grid2d)
+            ratio = res.energy.total / e2
             lines.append(f"{format_float(r)} {format_float(ratio)} "
                          f"{format_float(b)}")
             print(f"B={b} rho0={r}: E3d={format_float(res.energy.total)} "
@@ -171,22 +167,23 @@ def cmd_verify_appendix(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--nodes", type=int, default=None,
+    p.add_argument("--nodes", type=int, default=64,
                    help="quadrature nodes per direction (default 64)")
-    p.add_argument("--coulomb", choices=("on", "off"), default=None)
+    p.add_argument("--coulomb", choices=("on", "off"), default="on")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any flag")
 
 
 def _add_point(p: argparse.ArgumentParser):
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--rho0", type=_parse_rho0, default=None)
+    p.add_argument("--B", type=float, default=0.0)
+    p.add_argument("--rho0", type=_parse_rho0, default=math.inf)
     for name in _PARAM_FLAGS:
         p.add_argument(f"--{name}", type=float, default=None,
                        help=f"pin {name} instead of optimizing it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with ``config``'s values as flag defaults."""
     parser = argparse.ArgumentParser(
         prog="cylvar",
         description="Variational hydrogen atom in a magnetized cylinder")
@@ -204,80 +201,67 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan")
     _add_common(p)
-    p.add_argument("--B-list", dest="B_list", type=str, default=None)
-    p.add_argument("--rho0-list", dest="rho0_list", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--B-list", dest="B_list", type=_float_list, default="0")
+    p.add_argument("--rho0-list", dest="rho0_list", type=_rho0_list,
+                   default=_RHO0_LIST)
+    p.add_argument("--out", type=str, default="scan.csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--jobs", type=int,
+                   default=os.environ.get("CYLVAR_JOBS", "1"),
+                   help="worker processes (default $CYLVAR_JOBS, else 1)")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("compare2d")
     _add_common(p)
-    p.add_argument("--B-list", "--B", dest="B_list", type=str, default=None)
-    p.add_argument("--rho0-list", "--rho0", dest="rho0_list", type=str,
-                   default=None)
-    p.add_argument("--grid-points", type=int, default=None)
+    p.add_argument("--B-list", "--B", dest="B_list", type=_float_list,
+                   default="0")
+    p.add_argument("--rho0-list", "--rho0", dest="rho0_list",
+                   type=_rho0_list, default=_RHO0_LIST)
+    p.add_argument("--grid-points", type=int, default=800)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_compare2d)
 
     p = sub.add_parser("fit-tail")
     _add_common(p)
-    p.add_argument("--rho0-list", dest="rho0_list", type=str, default=None)
+    p.add_argument("--rho0-list", dest="rho0_list", type=_rho0_list,
+                   default=_RHO0_LIST)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_fit_tail)
 
     p = sub.add_parser("verify-appendix")
-    p.set_defaults(fn=cmd_verify_appendix, config=None)
+    p.set_defaults(fn=cmd_verify_appendix)
+
+    if config:
+        # argparse converts a string default with the flag's type, as it
+        # would the same text on the command line.
+        defaults = {key.replace("-", "_"): value
+                    for key, value in config.items()}
+        for p in sub.choices.values():
+            flags = {action.dest for action in p._actions}
+            p.set_defaults(**{key: value for key, value in defaults.items()
+                              if key in flags})
     return parser
 
 
-_DEFAULTS = {
-    "nodes": 64,
-    "coulomb": "on",
-    "B": 0.0,
-    "rho0": math.inf,
-    "format": "csv",
-    "grid_points": 800,
-    "rho0_list": "2.5,3.0,3.5,4.0,4.5,5.0",
-    "B_list": "0",
-    "out": "scan.csv",
-}
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the JSON config, then from built-in defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            parser.error("--config must contain a JSON object")
-    for key, value in vars(args).items():
-        if value is not None:
-            continue
-        source = config.get(key, config.get(key.replace("_", "-")))
-        if source is None:
-            source = _DEFAULTS.get(key)
-        if source is not None:
-            setattr(args, key, source)
-    # normalize types that may arrive as strings from config/defaults
-    if getattr(args, "rho0", None) is not None and isinstance(args.rho0, str):
-        args.rho0 = _parse_rho0(args.rho0)
-    for key in ("B_list", "rho0_list"):
-        if hasattr(args, key) and isinstance(getattr(args, key), str):
-            parse = _parse_rho0 if key == "rho0_list" else float
-            setattr(args, key, _parse_list(getattr(args, key), parse))
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        args.jobs = _default_jobs()
+def _read_config(path: str) -> dict:
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("--config must contain a JSON object")
+    return config
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _apply_config(args, parser)
-    except (OSError, json.JSONDecodeError, argparse.ArgumentTypeError) as exc:
-        parser.error(str(exc))
+    if getattr(args, "config", None):
+        # Parse again with the file's values as defaults, so that flags on
+        # the command line still win.
+        try:
+            config = _read_config(args.config)
+        except (OSError, ValueError) as exc:  # JSONDecodeError included
+            parser.error(str(exc))
+        args = build_parser(config).parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # numeric/runtime failure contract: exit 1

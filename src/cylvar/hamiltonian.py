@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .quadrature import QuadratureSpec, cylinder_grid
 from .specfun import landau_cylinder_energy
-from .trialfn import Geometry, SystemConfig, TrialParams, evaluate, sample
+from .trialfn import (Geometry, SystemConfig, TrialParams, check_admissible,
+                      evaluate, sample)
 
 __all__ = [
     "EnergyBreakdown",
@@ -40,12 +41,6 @@ class EnergyBreakdown:
     zeeman_quadratic: float
     total: float
     norm: float
-
-    @classmethod
-    def invalid(cls) -> "EnergyBreakdown":
-        """Sentinel for inadmissible parameters (rejected by the optimizer)."""
-        nan = float("nan")
-        return cls(nan, nan, nan, math.inf, nan)
 
 
 @dataclass(frozen=True)
@@ -75,16 +70,6 @@ def adapted_spec(spec: QuadratureSpec, params: TrialParams,
     return replace(spec, z_scale=z_scale, rho_scale=rho_scale)
 
 
-def _admissible(params: TrialParams, cfg: SystemConfig) -> bool:
-    if not params.is_valid():
-        return False
-    # Unconfined in a field: beta <= 0 loses (or marginally loses) radial
-    # normalizability of the Landau factor; reject rather than clamp.
-    if math.isinf(cfg.rho0) and cfg.B > 0 and params.beta <= 0:
-        return False
-    return True
-
-
 def _fields(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec):
     spec = adapted_spec(spec, params, cfg)
     R, Z, W = cylinder_grid(cfg.rho0, spec)
@@ -94,15 +79,19 @@ def _fields(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec):
 
 def energy(params: TrialParams, cfg: SystemConfig,
            spec: QuadratureSpec) -> EnergyBreakdown:
-    """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state."""
-    if not _admissible(params, cfg):
-        return EnergyBreakdown.invalid()
+    """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state.
 
+    Raises ValueError for parameters outside the admissible set, and
+    ArithmeticError for a norm that is not finite and positive or a total
+    that is not finite.
+    """
+    check_admissible(asdict(params), cfg)
     R, Z, W, s = _fields(params, cfg, spec)
     psi2 = s.psi**2
     norm = float(np.sum(W * psi2))
-    if not (np.isfinite(norm) and norm > 0):
-        return EnergyBreakdown.invalid()
+    if not (math.isfinite(norm) and norm > 0):
+        raise ArithmeticError(f"trial norm {norm:g} on the quadrature grid "
+                              f"at {params}")
 
     kinetic = 0.5 * float(np.sum(W * (s.dpsi_drho**2 + s.dpsi_dz**2))) / norm
     if cfg.coulomb_on:
@@ -113,7 +102,7 @@ def energy(params: TrialParams, cfg: SystemConfig,
     zeeman_quadratic = (cfg.B**2 / 8.0) * float(np.sum(W * psi2 * R**2)) / norm
     total = kinetic + coulomb + zeeman_quadratic
     if not math.isfinite(total):
-        return EnergyBreakdown.invalid()
+        raise ArithmeticError(f"non-finite energy {total} at {params}")
     return EnergyBreakdown(kinetic=kinetic, coulomb=coulomb,
                            zeeman_quadratic=zeeman_quadratic,
                            total=total, norm=norm)

@@ -2,8 +2,8 @@
 
 Finite-difference ground-state solver for the m = 0 radial equation
 
-    [-(1/2)(d^2/drho^2 + (1/rho) d/drho) - 1/rho + m^2/(2 rho^2)
-     + m B / 2 + B^2 rho^2 / 8] R = E R,   R(rho0) = 0.
+    [-(1/2)(d^2/drho^2 + (1/rho) d/drho) - 1/rho + B^2 rho^2 / 8] R = E R,
+    R(rho0) = 0.
 
 The scheme is a finite-volume discretization of the flux form
 -(1/(2 rho)) (rho R')' on cell centers (i + 1/2) h: the zero radial flux at
@@ -41,22 +41,20 @@ class RadialGrid:
             raise ValueError("grid too coarse")
 
 
-def _potential(rho: np.ndarray, B: float, coulomb_on: bool, m: int):
-    v = B**2 * rho**2 / 8.0 + 0.5 * m * B
-    if m != 0:
-        v = v + m * m / (2.0 * rho**2)
+def _potential(rho: np.ndarray, B: float, coulomb_on: bool):
+    v = B**2 * rho**2 / 8.0
     if coulomb_on:
         v = v - 1.0 / rho
     return v
 
 
 def _lowest_eigenvalue(B: float, rho0: float, grid: RadialGrid,
-                       coulomb_on: bool, m: int) -> float:
+                       coulomb_on: bool) -> float:
     n = grid.n
     h = rho0 / n
     rho = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h          # cell faces; faces[0] = 0 (no flux)
-    v = _potential(rho, B, coulomb_on, m)
+    v = _potential(rho, B, coulomb_on)
 
     diag = (faces[:-1] + faces[1:]) / (2.0 * rho * h * h) + v
     # Dirichlet wall at the last face: one-sided gradient over h/2.
@@ -67,26 +65,22 @@ def _lowest_eigenvalue(B: float, rho0: float, grid: RadialGrid,
 
 
 def ground_energy_2d(B: float, rho0: float, grid: RadialGrid,
-                     coulomb_on: bool = True, m: int = 0) -> float:
+                     coulomb_on: bool = True) -> float:
     """Richardson-extrapolated lowest eigenvalue from grids n and 2n."""
     if math.isinf(rho0):
         raise ValueError("rho0 must be finite")
-    e1 = _lowest_eigenvalue(B, rho0, grid, coulomb_on, m)
-    e2 = _lowest_eigenvalue(B, rho0, RadialGrid(2 * grid.n), coulomb_on, m)
+    e1 = _lowest_eigenvalue(B, rho0, grid, coulomb_on)
+    e2 = _lowest_eigenvalue(B, rho0, RadialGrid(2 * grid.n), coulomb_on)
     if abs(e2 - e1) > 1e-4:
         raise ResolutionError(
             f"|E_n - E_2n| = {abs(e2 - e1):.3e} at n = {grid.n}; refine the grid")
     return (4.0 * e2 - e1) / 3.0
 
 
-def ratio_3d_2d(B: float, rho0: float, energy_3d, grid: RadialGrid) -> float:
-    """E(3D)/E(2D) at matching (B, rho0); crosses 0 with the 3D energy sign.
-
-    ``energy_3d`` is either a plain energy or an optimizer result.
-    """
-    e3 = getattr(energy_3d, "energy", None)
-    e3 = energy_3d if e3 is None else e3.total
+def ratio_3d_2d(B: float, rho0: float, energy_3d: float,
+                grid: RadialGrid) -> float:
+    """E(3D)/E(2D) at matching (B, rho0); crosses 0 with the 3D energy sign."""
     e2 = ground_energy_2d(B, rho0, grid)
     if e2 == 0.0:
         raise ZeroDivisionError("E(2D) vanished; ratio undefined")
-    return e3 / e2
+    return energy_3d / e2

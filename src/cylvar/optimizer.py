@@ -2,8 +2,8 @@
 
 Bounded L-BFGS-B over the selected free parameters, on the analytic energy
 gradient of a quadrature rule held fixed for each solve, multi-start, with
-deterministic tie-breaking.  Bounds keep every proposal admissible (alpha >
-0, nu >= 1, and beta > 0 for the unconfined state in a field).
+deterministic tie-breaking.  Bounds taken from ``trialfn.admissible_bounds``
+keep every proposal admissible.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import scipy.optimize
 
@@ -19,7 +19,8 @@ from . import hamiltonian
 from .hamiltonian import EnergyBreakdown
 from .quadrature import QuadratureSpec
 from .records import ScanRecord
-from .trialfn import SystemConfig, TrialParams
+from .trialfn import (SystemConfig, TrialParams, admissible_bounds,
+                      check_admissible)
 
 __all__ = [
     "OptimizeRequest",
@@ -28,7 +29,7 @@ __all__ = [
     "minimize",
     "scan",
     "default_request",
-    "record_for",
+    "point_record",
 ]
 
 _PARAM_NAMES = ("alpha", "beta", "nu", "gamma")
@@ -54,8 +55,9 @@ INF_STARTS = (
 # points and the solve ends without success.
 _FTOL = 1e-14
 _GTOL = 1e-8
-# Lower bound standing in for the open conditions alpha > 0 and beta > 0.
-_POSITIVE = 1e-8
+_MAX_EVALS = 2000  # objective evaluations per solve
+# L-BFGS-B takes closed bounds: a strict one moves this far inside.
+_STRICT_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,16 @@ class OptimizeRequest:
     free_params: tuple[str, ...]
     fixed_values: Mapping[str, float]
     starts: tuple[TrialParams, ...] = DEFAULT_STARTS
-    tol_energy: float = 1e-6
-    max_evals: int = 2000
+    # Starts whose energies lie this close to the lowest are tied.
+    tol_energy: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not self.starts:
             raise ValueError("at least one start is required")
-        if self.tol_energy <= 0:
-            raise ValueError("tol_energy must be positive")
         unknown = set(self.free_params) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown parameter names: {sorted(unknown)}")
+        check_admissible(self.fixed_values, self.cfg)
         for name in ("alpha", "beta", "nu"):
             if name not in self.free_params and name not in self.fixed_values:
                 raise ValueError(f"parameter {name!r} is neither free nor fixed")
@@ -102,10 +103,9 @@ class OptimizeRequest:
 
     def lower_bounds(self) -> list[float | None]:
         """L-BFGS-B lower bound of each free parameter (none above)."""
-        lower = {"alpha": _POSITIVE, "nu": 1.0}
-        if math.isinf(self.cfg.rho0) and self.cfg.B > 0:
-            lower["beta"] = _POSITIVE
-        return [lower.get(name) for name in self.free_params]
+        bounds = admissible_bounds(self.cfg)
+        return [bounds[name][0] + _STRICT_MARGIN * bounds[name][1]
+                if name in bounds else None for name in self.free_params]
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _solve(req: OptimizeRequest, spec: QuadratureSpec, x0: Sequence[float]):
     return scipy.optimize.minimize(
         objective, x0, jac=True, method="L-BFGS-B",
         bounds=[(lo, None) for lo in req.lower_bounds()],
-        options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=req.max_evals))
+        options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=_MAX_EVALS))
 
 
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
@@ -149,10 +149,8 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
 
 def _select_best(candidates: Sequence[OptimizeResult],
                  tol_energy: float) -> OptimizeResult:
-    finite = [c for c in candidates if math.isfinite(c.energy.total)]
-    pool = finite or list(candidates)
-    e_min = min(c.energy.total for c in pool)
-    tied = [c for c in pool if c.energy.total <= e_min + tol_energy]
+    e_min = min(c.energy.total for c in candidates)
+    tied = [c for c in candidates if c.energy.total <= e_min + tol_energy]
     # Ties broken by smallest nu, then smallest |beta|, then start order.
     return min(tied, key=lambda c: (c.params.nu, abs(c.params.beta),
                                     c.start_index))
@@ -175,9 +173,9 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
     return replace(best, evals=sum(c.evals for c in candidates))
 
 
-def default_request(cfg: SystemConfig,
-                    fixed: Mapping[str, float] | None = None,
-                    **kwargs) -> OptimizeRequest:
+def default_request(
+        cfg: SystemConfig,
+        fixed: Mapping[str, float] | None = None) -> OptimizeRequest:
     """Standard request for one config: optimize whatever is not pinned.
 
     ``fixed`` pins parameters to user-supplied values; beta is forced to 0
@@ -195,12 +193,25 @@ def default_request(cfg: SystemConfig,
         fixed["beta"] = 0.0
     free = tuple(name for name in candidates if name not in fixed)
     return OptimizeRequest(cfg=cfg, free_params=free, fixed_values=fixed,
-                           starts=starts, **kwargs)
+                           starts=starts)
 
 
-def record_for(cfg: SystemConfig, result: OptimizeResult,
-               spec: QuadratureSpec, e0: float) -> ScanRecord:
-    """Output row for an optimum; ``e0`` is ``reference_energy(cfg)``."""
+def point_record(cfg: SystemConfig, spec: QuadratureSpec,
+                 fixed: Mapping[str, float] | None = None,
+                 warm: TrialParams | None = None) -> ScanRecord:
+    """Output row for one config under ``default_request(cfg, fixed)``.
+
+    ``warm``, a previous optimum, is tried as one more start.  The
+    reference energy comes first, since it refuses some inputs outright;
+    then ``minimize``, then the observables at the optimum.
+    """
+    req = default_request(cfg, fixed)
+    if warm is not None:
+        if not math.isinf(cfg.rho0):
+            warm = replace(warm, gamma=None)
+        req = replace(req, starts=req.starts + (warm,))
+    e0 = hamiltonian.reference_energy(cfg)
+    result = minimize(req, spec)
     obs = hamiltonian.observables(result.params, cfg, spec)
     e = result.energy.total
     return ScanRecord(B=cfg.B, rho0=cfg.rho0, E=e,
@@ -225,22 +236,15 @@ def _scan_row(row: Sequence[SystemConfig],
               spec: QuadratureSpec) -> list[ScanRecord]:
     """Records of one B row, each warm-started from the previous optimum."""
     records: list[ScanRecord] = []
-    prev_params: TrialParams | None = None
+    warm: TrialParams | None = None
     for cfg in row:
-        req = default_request(cfg)
-        if prev_params is not None:
-            warm = prev_params
-            if not math.isinf(cfg.rho0) and warm.gamma is not None:
-                warm = replace(warm, gamma=None)
-            req = replace(req, starts=req.starts + (warm,))
         try:
-            # The reference energy first: it refuses some inputs outright.
-            e0 = hamiltonian.reference_energy(cfg)
-            result = minimize(req, spec)
-            records.append(record_for(cfg, result, spec, e0))
-            prev_params = result.params
+            rec = point_record(cfg, spec, warm=warm)
+            warm = TrialParams(alpha=rec.alpha, beta=rec.beta, nu=rec.nu,
+                               gamma=rec.gamma)
         except Exception:
-            records.append(_failed_record(cfg))
+            rec = _failed_record(cfg)
+        records.append(rec)
     return records
 
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "TrialParams",
     "SystemConfig",
+    "admissible_bounds",
+    "check_admissible",
     "WavefunctionSample",
     "Geometry",
     "sample",
@@ -43,10 +45,6 @@ class TrialParams:
     nu: float = 2.0
     gamma: float | None = None
 
-    def is_valid(self) -> bool:
-        """Admissibility: alpha > 0 for z-normalizability and nu >= 1."""
-        return self.alpha > 0.0 and self.nu >= 1.0
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -61,6 +59,30 @@ class SystemConfig:
             raise ValueError("B must be non-negative")
         if not self.rho0 > 0:
             raise ValueError("rho0 must be positive (possibly inf)")
+
+
+def admissible_bounds(cfg: SystemConfig) -> dict[str, tuple[float, bool]]:
+    """The admissible set in ``cfg``: (lower bound, strict) per bounded
+    parameter.  alpha > 0 (psi normalizable along z), nu >= 1, and, unconfined
+    in a field, beta > 0 (the Landau factor normalizable radially)."""
+    bounds = {"alpha": (0.0, True), "nu": (1.0, False)}
+    if math.isinf(cfg.rho0) and cfg.B > 0:
+        bounds["beta"] = (0.0, True)
+    return bounds
+
+
+def check_admissible(values: Mapping[str, float | None],
+                     cfg: SystemConfig) -> None:
+    """Raise ValueError naming the first value outside the admissible set;
+    a value of None is unset, and gamma applies only at rho0 = inf."""
+    for name, (low, strict) in admissible_bounds(cfg).items():
+        v = values.get(name)
+        if v is not None and not (v > low if strict else v >= low):
+            raise ValueError(f"{name} = {v:g} is not admissible: the trial "
+                             f"state needs {name} {'>' if strict else '>='} "
+                             f"{low:g}")
+    if values.get("gamma") is not None and not math.isinf(cfg.rho0):
+        raise ValueError("gamma only applies to the rho0 = inf variant")
 
 
 @dataclass(frozen=True)

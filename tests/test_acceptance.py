@@ -224,7 +224,7 @@ def test_criterion_08_dimensional_comparison(b0_records):
            f"no 3D sign change in [1.50, 1.65]: E(1.50)={lo:.4f}, "
            f"E(1.65)={hi:.4f}")
     drum = J01**2 / 2.0
-    errs = [abs(_lowest_eigenvalue(0.0, 1.0, RadialGrid(n), False, 0) - drum)
+    errs = [abs(_lowest_eigenvalue(0.0, 1.0, RadialGrid(n), False) - drum)
             for n in (100, 200, 400)]
     _check(failures,
            3.5 <= errs[0] / errs[1] <= 4.5 and 3.5 <= errs[1] / errs[2] <= 4.5,

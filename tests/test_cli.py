@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from cylvar import optimizer
-from cylvar.cli import main, _default_jobs, _parse_rho0
+from cylvar.cli import build_parser, main, _parse_rho0
 from cylvar.records import CSV_HEADER, read_csv, read_json
 from cylvar.specfun import Z_MAX
 
@@ -61,6 +62,19 @@ def test_numeric_failure_exits_1(capsys):
                         "--alpha", "1", "--beta", "0.1", "--nu", "2"], capsys)
     assert code == 1
     assert "E0 equals B/2 to double precision" in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--rho0", "2", "--alpha", "1.1", "--beta", "0", "--nu", "0.5"], "nu"),
+    (["--B", "1", "--rho0", "inf", "--alpha", "1", "--beta", "0"], "beta"),
+    (["--rho0", "2", "--alpha", "0", "--beta", "0", "--nu", "2"], "alpha"),
+    (["--rho0", "2", "--gamma", "0.3"], "gamma"),
+])
+def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
+    code, out, err = run(["energy", "--nodes", "48"] + argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cylvar: error: {name}")
 
 
 def test_refused_request_exits_before_optimizing(monkeypatch, capsys):
@@ -139,13 +153,32 @@ def test_entropy_writes_optional_file(tmp_path, capsys):
 
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("CYLVAR_JOBS", "3")
-    assert _default_jobs() == 3
+    assert build_parser().parse_args(["scan"]).jobs == 3
     monkeypatch.delenv("CYLVAR_JOBS")
-    assert _default_jobs() == 1
+    assert build_parser().parse_args(["scan"]).jobs == 1
+
+
+def test_flag_then_config_then_env_then_default(monkeypatch):
+    monkeypatch.setenv("CYLVAR_JOBS", "3")
+    config = {"jobs": 2, "rho0-list": "1,inf", "nodes": "48"}
+    args = build_parser(config).parse_args(["scan", "--nodes", "32"])
+    assert (args.nodes, args.jobs) == (32, 2)
+    assert args.rho0_list == [1.0, math.inf]
+    assert args.B_list == [0.0] and args.out == "scan.csv"
+    args = build_parser({}).parse_args(["scan"])
+    assert (args.nodes, args.jobs) == (64, 3)
+
+
+def test_only_scan_writes_a_file_by_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    point = ["--B", "0", "--rho0", "2", "--nodes", "32"]
+    assert run(["entropy", "--alpha", "1", "--beta", "0", "--nu", "2"]
+               + point, capsys)[0] == 0
+    assert run(["compare2d"] + point, capsys)[0] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_rho0():
-    import math
     assert _parse_rho0("inf") == math.inf
     assert _parse_rho0(" INF ") == math.inf
     assert _parse_rho0("2.5") == 2.5

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st, target
 
-from cylvar.hamiltonian import (EnergyBreakdown, adapted_spec, binding_energy,
-                                energy, energy_gradient, fit_large_rho0_tail,
+from cylvar.hamiltonian import (adapted_spec, binding_energy, energy,
+                                energy_gradient, fit_large_rho0_tail,
                                 fixed_rule, observables, reference_energy)
 from cylvar.quadrature import QuadratureSpec
-from cylvar.specfun import J01, landau_cylinder_energy
+from cylvar.specfun import J01, Z_MAX, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams
 
 SPEC = QuadratureSpec(64, 64)
@@ -49,15 +50,43 @@ def test_breakdown_additivity_and_signs():
     assert br.norm > 0.0
 
 
-def test_invalid_params_give_sentinel():
-    br = energy(TrialParams(alpha=-1.0), FREE_H, SPEC)
-    assert math.isinf(br.total)
-    assert math.isnan(br.kinetic)
+def test_invalid_params_raise():
+    with pytest.raises(ValueError, match="alpha"):
+        energy(TrialParams(alpha=-1.0), FREE_H, SPEC)
     # unconfined in a field requires beta > 0
     cfg = SystemConfig(B=1.0, rho0=math.inf)
-    br = energy(TrialParams(alpha=1.0, beta=0.0, gamma=0.0), cfg, SPEC)
-    assert math.isinf(br.total)
-    assert math.isinf(EnergyBreakdown.invalid().total)
+    with pytest.raises(ValueError, match="beta"):
+        energy(TrialParams(alpha=1.0, beta=0.0, gamma=0.0), cfg, SPEC)
+    # admissible, but psi vanishes on every node
+    with pytest.raises(ArithmeticError, match="norm"):
+        energy(TrialParams(alpha=1e300, beta=0.0, gamma=0.0), FREE_H, SPEC)
+
+
+@st.composite
+def coulomb_off_states(draw):
+    """Admissible pinned states of the Coulomb-free problem; beta = 0 at
+    B = 0, as ``default_request`` pins it."""
+    B = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    rho0 = draw(st.floats(0.5, 30.0))
+    assume(0.5 * B * rho0**2 <= Z_MAX)
+    params = TrialParams(alpha=math.exp(draw(st.floats(-6.0, 1.5))),
+                         beta=draw(st.floats(-0.3, 0.6)) if B > 0 else 0.0,
+                         nu=draw(st.floats(1.0, 40.0)))
+    return params, SystemConfig(B=B, rho0=rho0, coulomb_on=False)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(coulomb_off_states())
+def test_coulomb_off_energy_is_above_kummer_root(state):
+    # The Kummer root E0 is the exact Coulomb-free ground energy, so every
+    # trial energy bounds it from above.  Steering the search towards E0/E
+    # -> 1 brings the smallest margin drawn to about 2e-4; a 0.1% cut in
+    # the kinetic energy then fails.
+    params, cfg = state
+    e = energy(params, cfg, SPEC).total
+    e0 = landau_cylinder_energy(cfg.B, cfg.rho0)
+    target(e0 / e, label="E0/E")
+    assert e >= e0
 
 
 def test_pure_confinement_scaling():

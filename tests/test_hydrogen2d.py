@@ -12,8 +12,7 @@ from cylvar.specfun import J01
 DRUM = J01**2 / 2.0
 
 
-def _eig_plain(B: float, rho0: float, n: int, coulomb_on: bool,
-               m: int) -> float:
+def _eig_plain(B: float, rho0: float, n: int, coulomb_on: bool) -> float:
     # Node-centered cross-check of the solver's flux form; the axis is
     # closed by a zero-derivative ghost (R_0 = R_1), which cancels the inner
     # flux of the first node.
@@ -21,7 +20,7 @@ def _eig_plain(B: float, rho0: float, n: int, coulomb_on: bool,
     rho = np.arange(1, n + 1) * h
     f_lo = rho - 0.5 * h
     f_hi = rho + 0.5 * h
-    v = _potential(rho, B, coulomb_on, m)
+    v = _potential(rho, B, coulomb_on)
     diag = (f_lo + f_hi) / (2.0 * rho * h * h) + v
     diag[0] = f_hi[0] / (2.0 * rho[0] * h * h) + v[0]
     off = -f_hi[:-1] / (2.0 * h * h * np.sqrt(rho[:-1] * rho[1:]))
@@ -43,13 +42,13 @@ def test_drum_mode_without_coulomb():
 def test_plain_grid_cross_check():
     off = ground_energy_2d(0.0, 1.0, RadialGrid(400), coulomb_on=False)
     # Richardson step from n and 2n, as ground_energy_2d takes it.
-    e1, e2 = (_eig_plain(0.0, 1.0, n, False, 0) for n in (400, 800))
+    e1, e2 = (_eig_plain(0.0, 1.0, n, False) for n in (400, 800))
     plain = (4.0 * e2 - e1) / 3.0
     assert off == pytest.approx(plain, abs=1e-7)
 
 
 def test_second_order_convergence():
-    errs = [abs(_lowest_eigenvalue(0.0, 1.0, RadialGrid(n), False, 0) - DRUM)
+    errs = [abs(_lowest_eigenvalue(0.0, 1.0, RadialGrid(n), False) - DRUM)
             for n in (100, 200, 400)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
@@ -78,13 +77,7 @@ def test_grid_validation():
         RadialGrid(8)
 
 
-def test_ratio_accepts_plain_energy_and_result_objects():
+def test_ratio_of_plain_energy():
     grid = RadialGrid(1600)
     e2 = ground_energy_2d(0.0, 5.0, grid)
     assert ratio_3d_2d(0.0, 5.0, -0.5, grid) == pytest.approx(-0.5 / e2)
-
-    class FakeResult:
-        class energy:
-            total = -0.5
-
-    assert ratio_3d_2d(0.0, 5.0, FakeResult(), grid) == pytest.approx(-0.5 / e2)

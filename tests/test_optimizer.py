@@ -1,12 +1,15 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
 from cylvar import hamiltonian
-from cylvar.optimizer import (DEFAULT_STARTS, OptimizeRequest, OptimizeResult,
-                              _select_best, default_request, minimize, scan)
+from cylvar.optimizer import (DEFAULT_STARTS, INF_STARTS, OptimizeRequest,
+                              OptimizeResult, _select_best, default_request,
+                              minimize, scan)
 from cylvar.quadrature import QuadratureSpec
-from cylvar.trialfn import SystemConfig, TrialParams
+from cylvar.records import format_row
+from cylvar.trialfn import SystemConfig, TrialParams, check_admissible
 
 SPEC = QuadratureSpec(64, 64)
 
@@ -118,9 +121,13 @@ def test_request_validation():
     with pytest.raises(ValueError):
         OptimizeRequest(cfg=cfg, free_params=("zeta",),
                         fixed_values={"alpha": 1, "beta": 0.0, "nu": 2.0})
-    with pytest.raises(ValueError):
-        OptimizeRequest(cfg=cfg, free_params=("alpha", "nu"),
-                        fixed_values={"beta": 0.0}, tol_energy=0.0)
+    # pinned values outside the admissible set
+    for fixed in ({"alpha": 0.0}, {"nu": 0.5}, {"gamma": 0.3}):
+        with pytest.raises(ValueError, match=next(iter(fixed))):
+            default_request(cfg, fixed=fixed)
+    with pytest.raises(ValueError, match="beta"):
+        default_request(SystemConfig(B=1.0, rho0=math.inf),
+                        fixed={"beta": 0.0})
 
 
 def test_select_best_tiebreak():
@@ -174,5 +181,21 @@ def test_scan_rejects_empty_grid():
 
 
 def test_default_starts_are_admissible():
-    for p in DEFAULT_STARTS:
-        assert p.is_valid()
+    for starts, cfg in ((DEFAULT_STARTS, SystemConfig(B=0.5, rho0=2.0)),
+                        (INF_STARTS, SystemConfig(B=0.5, rho0=math.inf))):
+        for p in starts:
+            check_admissible(asdict(p), cfg)
+
+
+def test_scan_failed_row_is_nan_and_skipped_by_warm_start():
+    # z = B rho0^2 / 2 = 1800 at rho0 = 60 exceeds the Kummer root's cap.
+    spec = QuadratureSpec(48, 48)
+    grid = [SystemConfig(B=1.0, rho0=r) for r in (2.0, 60.0, 3.0)]
+    records = scan(grid, spec)
+    failed = records[1]
+    assert math.isnan(failed.E) and math.isnan(failed.E0)
+    assert not failed.converged and failed.evals == 0
+    rows = [format_row(r) for r in records]
+    clean = scan([grid[0], grid[2]], spec)
+    assert [rows[0], rows[2]] == [format_row(r) for r in clean]
+    assert [format_row(r) for r in scan(grid, spec, jobs=2)] == rows

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cylvar.trialfn import SystemConfig, TrialParams, density, evaluate
+from dataclasses import asdict
+
+from cylvar.trialfn import (SystemConfig, TrialParams, check_admissible,
+                            density, evaluate)
 
 RNG = np.random.default_rng(7)
 
@@ -60,7 +63,8 @@ def test_density_is_square_and_nonnegative():
     TrialParams(alpha=1.0, nu=0.5),
 ])
 def test_invalid_params(params):
-    assert not params.is_valid()
+    with pytest.raises(ValueError, match="not admissible"):
+        check_admissible(asdict(params), SystemConfig(B=0.0, rho0=2.0))
 
 
 def test_rho_outside_cavity_raises():
