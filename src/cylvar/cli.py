@@ -25,6 +25,8 @@ from .trialfn import SystemConfig
 __all__ = ["main"]
 
 _PARAM_FLAGS = ("alpha", "beta", "nu", "gamma")
+# The flags with a fixed set of values.
+_CHOICES = {"coulomb": ("on", "off"), "format": ("csv", "json")}
 _RHO0_LIST = "2.5,3.0,3.5,4.0,4.5,5.0"
 
 
@@ -169,7 +171,7 @@ def cmd_verify_appendix(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--nodes", type=int, default=64,
                    help="quadrature nodes per direction (default 64)")
-    p.add_argument("--coulomb", choices=("on", "off"), default="on")
+    p.add_argument("--coulomb", choices=_CHOICES["coulomb"], default="on")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any flag")
 
@@ -205,7 +207,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--rho0-list", dest="rho0_list", type=_rho0_list,
                    default=_RHO0_LIST)
     p.add_argument("--out", type=str, default="scan.csv")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=_CHOICES["format"], default="csv")
     p.add_argument("--jobs", type=int,
                    default=os.environ.get("CYLVAR_JOBS", "1"),
                    help="worker processes (default $CYLVAR_JOBS, else 1)")
@@ -262,6 +264,12 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:  # JSONDecodeError included
             parser.error(str(exc))
         args = build_parser(config).parse_args(argv)
+        # argparse checks choices only for values on the command line.
+        for dest, choices in _CHOICES.items():
+            value = getattr(args, dest, choices[0])
+            if value not in choices:
+                parser.error(f"argument --{dest}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
     try:
         return args.fn(args)
     except Exception as exc:  # numeric/runtime failure contract: exit 1

@@ -1,9 +1,11 @@
 """Gradient-based minimization of the Rayleigh quotient.
 
 Bounded L-BFGS-B over the selected free parameters, on the analytic energy
-gradient of a quadrature rule held fixed for each solve, multi-start, with
-deterministic tie-breaking.  Bounds taken from ``trialfn.admissible_bounds``
-keep every proposal admissible.
+gradient of a quadrature rule held fixed for each solve.  Each point is one
+solve per basin of the energy (two when beta and nu are both free, else
+one), each from its own start; the other starts run only when one of those
+solves ends unconverged or on a bound.  Bounds taken from
+``trialfn.admissible_bounds`` keep every proposal admissible.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import multiprocessing
 from dataclasses import dataclass, replace
 from typing import ClassVar, Mapping, Sequence
 
+import numpy as np
 import scipy.optimize
 
 from . import hamiltonian
@@ -34,10 +37,15 @@ __all__ = [
 
 _PARAM_NAMES = ("alpha", "beta", "nu", "gamma")
 
-# Brackets the optima observed across the production grid, including the
-# negative-beta region at moderate radii.
+# Once beta is free (B > 0) at finite rho0, two shapes of the cut-off
+# compete: a soft one (nu near 2, often with a Gaussian rising towards the
+# wall) and a sharp one (large nu, beta*B near 0, the B = 0 shape).  Which
+# is lower changes with B and rho0, and each solve stays in the basin it
+# starts in, so the first two starts are one in each.  The others run only
+# as a fallback.
 DEFAULT_STARTS = (
     TrialParams(alpha=1.0, beta=0.1, nu=2.0),
+    TrialParams(alpha=1.0, beta=0.0, nu=4.0),
     TrialParams(alpha=1.2, beta=-0.1, nu=3.0),
     TrialParams(alpha=0.8, beta=0.25, nu=1.5),
 )
@@ -47,15 +55,15 @@ DEFAULT_STARTS = (
 INF_STARTS = (
     TrialParams(alpha=1.0, beta=0.2, nu=2.0, gamma=0.1),
     TrialParams(alpha=0.9, beta=0.25, nu=2.0, gamma=0.5),
-    TrialParams(alpha=1.1, beta=0.15, nu=2.0, gamma=0.0),
 )
 
 # L-BFGS-B stopping rule.  An ftol near double precision settles E to about
-# 1e-12; with gtol at 1e-10 the line search stalls short of it at some
-# points and the solve ends without success.
+# 1e-12.  At large rho0 E hardly depends on nu (by about 1e-9 at rho0 = 13),
+# and a gtol of 1e-8 stops nu far from its optimum there.
 _FTOL = 1e-14
-_GTOL = 1e-8
+_GTOL = 1e-10
 _MAX_EVALS = 2000  # objective evaluations per solve
+_MIN_BETA_SCALE = 1e-150  # see OptimizeRequest.scales
 # L-BFGS-B takes closed bounds: a strict one moves this far inside.
 _STRICT_MARGIN = 1e-8
 
@@ -79,33 +87,44 @@ class OptimizeRequest:
         for name in ("alpha", "beta", "nu"):
             if name not in self.free_params and name not in self.fixed_values:
                 raise ValueError(f"parameter {name!r} is neither free nor fixed")
-        if self.cfg.B == 0:
-            if "beta" in self.free_params or self.fixed_values.get("beta") != 0.0:
-                raise ValueError("at B = 0 beta must be fixed to 0")
+        if self.cfg.B == 0 and "beta" in self.free_params:
+            raise ValueError("at B = 0 beta must be fixed to 0")
         if "gamma" in self.free_params and not math.isinf(self.cfg.rho0):
             raise ValueError("gamma only applies to the rho0 = inf variant")
         if "nu" in self.free_params and math.isinf(self.cfg.rho0):
             raise ValueError("nu has no effect at rho0 = inf; fix it")
 
+    def scales(self) -> list[float]:
+        """Solver coordinate per unit of each free parameter.  psi depends on
+        beta only through beta*B, so the solver steps in beta*B: in beta the
+        gradient shrinks with B, and at small B it passes gtol far from the
+        optimum.  The floor on B keeps beta = x/B finite."""
+        return [max(self.cfg.B, _MIN_BETA_SCALE) if name == "beta" else 1.0
+                for name in self.free_params]
+
     def build_params(self, x: Sequence[float]) -> TrialParams:
+        """Trial state at solver coordinates ``x``."""
         vals = dict(self.fixed_values)
-        vals.update(zip(self.free_params, x))
+        vals.update((name, v / s) for name, v, s
+                    in zip(self.free_params, x, self.scales()))
         gamma = vals.get("gamma")
         return TrialParams(alpha=vals["alpha"], beta=vals["beta"],
                            nu=vals["nu"], gamma=gamma)
 
     def start_vector(self, start: TrialParams) -> list[float]:
+        """Solver coordinates of ``start``."""
         vec = []
-        for name in self.free_params:
+        for name, s in zip(self.free_params, self.scales()):
             v = getattr(start, name)
-            vec.append(0.0 if v is None else v)
+            vec.append(0.0 if v is None else v * s)
         return vec
 
     def lower_bounds(self) -> list[float | None]:
-        """L-BFGS-B lower bound of each free parameter (none above)."""
+        """L-BFGS-B lower bound of each solver coordinate (none above)."""
         bounds = admissible_bounds(self.cfg)
-        return [bounds[name][0] + _STRICT_MARGIN * bounds[name][1]
-                if name in bounds else None for name in self.free_params]
+        return [(bounds[name][0] + _STRICT_MARGIN * bounds[name][1]) * s
+                if name in bounds else None
+                for name, s in zip(self.free_params, self.scales())]
 
 
 @dataclass(frozen=True)
@@ -117,34 +136,32 @@ class OptimizeResult:
     start_index: int
 
 
-def _solve(req: OptimizeRequest, spec: QuadratureSpec, x0: Sequence[float]):
-    """One L-BFGS-B run on the rule adapted to the parameters at ``x0``."""
+def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
+                      start_index: int) -> tuple[OptimizeResult, bool]:
+    """One L-BFGS-B solve on the rule adapted to the start, and whether it
+    ended with a free parameter on its lower bound."""
+    lows = req.lower_bounds()
+    x0 = [v if lo is None else max(v, lo) for v, lo in
+          zip(req.start_vector(req.starts[start_index]), lows)]
     rule = hamiltonian.fixed_rule(req.build_params(x0), req.cfg, spec)
+    scales = np.array(req.scales())
 
     def objective(x):
-        return hamiltonian.energy_gradient(req.build_params(x), req.cfg, rule,
-                                           req.free_params)
+        e, grad = hamiltonian.energy_gradient(req.build_params(x), req.cfg,
+                                              rule, req.free_params)
+        return e, grad / scales
 
-    return scipy.optimize.minimize(
+    res = scipy.optimize.minimize(
         objective, x0, jac=True, method="L-BFGS-B",
-        bounds=[(lo, None) for lo in req.lower_bounds()],
+        bounds=[(lo, None) for lo in lows],
         options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=_MAX_EVALS))
-
-
-def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
-                      start_index: int) -> OptimizeResult:
-    x0 = [v if lo is None else max(v, lo) for v, lo in
-          zip(req.start_vector(req.starts[start_index]), req.lower_bounds())]
-    first = _solve(req, spec, x0)
-    # The rule was adapted to the start; solve again on one adapted to the
-    # first optimum.
-    final = _solve(req, spec, first.x)
-    params = req.build_params(final.x)
-    return OptimizeResult(params=params,
-                          energy=hamiltonian.energy(params, req.cfg, spec),
-                          evals=first.nfev + final.nfev,
-                          converged=bool(final.success),
-                          start_index=start_index)
+    params = req.build_params(res.x)
+    result = OptimizeResult(params=params,
+                            energy=hamiltonian.energy(params, req.cfg, spec),
+                            evals=res.nfev, converged=bool(res.success),
+                            start_index=start_index)
+    return result, any(lo is not None and v <= lo
+                       for v, lo in zip(res.x, lows))
 
 
 def _select_best(candidates: Sequence[OptimizeResult],
@@ -156,20 +173,35 @@ def _select_best(candidates: Sequence[OptimizeResult],
                                     c.start_index))
 
 
-def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
-    """Best result over all starts (lowest energy, deterministic ties).
+def _basins(req: OptimizeRequest) -> int:
+    """Starts ``minimize`` always solves from: one per basin of the energy
+    (see ``DEFAULT_STARTS``).  With beta pinned (B = 0) or nu inert
+    (rho0 = inf) every start reaches the same optimum."""
+    return 2 if {"beta", "nu"} <= set(req.free_params) else 1
 
-    ``evals`` counts objective evaluations over every start; a request with
-    no free parameter is one energy evaluation.
+
+def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
+    """Lowest energy over one solve from each basin's start; the best over
+    every start (deterministic ties) when one of those solves ends
+    unconverged or with a free parameter on its lower bound.
+
+    ``evals`` counts objective evaluations over every start run; a request
+    with no free parameter is one energy evaluation.
     """
     if not req.free_params:
         params = req.build_params(())
         return OptimizeResult(params=params,
                               energy=hamiltonian.energy(params, req.cfg, spec),
                               evals=1, converged=True, start_index=0)
-    candidates = [_run_single_start(req, spec, i)
-                  for i in range(len(req.starts))]
-    best = _select_best(candidates, req.tol_energy)
+    n = min(_basins(req), len(req.starts))
+    runs = [_run_single_start(req, spec, i) for i in range(n)]
+    candidates = [result for result, _ in runs]
+    if all(result.converged and not on_bound for result, on_bound in runs):
+        best = min(candidates, key=lambda c: c.energy.total)
+    else:
+        candidates += [_run_single_start(req, spec, i)[0]
+                       for i in range(n, len(req.starts))]
+        best = _select_best(candidates, req.tol_energy)
     return replace(best, evals=sum(c.evals for c in candidates))
 
 
@@ -178,7 +210,7 @@ def default_request(
         fixed: Mapping[str, float] | None = None) -> OptimizeRequest:
     """Standard request for one config: optimize whatever is not pinned.
 
-    ``fixed`` pins parameters to user-supplied values; beta is forced to 0
+    ``fixed`` pins parameters to user-supplied values; beta is pinned to 0
     at B = 0 and the cut-off exponent is inert for rho0 = inf.
     """
     fixed = dict(fixed or {})
@@ -190,28 +222,21 @@ def default_request(
         candidates = ["alpha", "beta", "nu"]
         starts = DEFAULT_STARTS
     if cfg.B == 0:
-        fixed["beta"] = 0.0
+        fixed.setdefault("beta", 0.0)
     free = tuple(name for name in candidates if name not in fixed)
     return OptimizeRequest(cfg=cfg, free_params=free, fixed_values=fixed,
                            starts=starts)
 
 
 def point_record(cfg: SystemConfig, spec: QuadratureSpec,
-                 fixed: Mapping[str, float] | None = None,
-                 warm: TrialParams | None = None) -> ScanRecord:
+                 fixed: Mapping[str, float] | None = None) -> ScanRecord:
     """Output row for one config under ``default_request(cfg, fixed)``.
 
-    ``warm``, a previous optimum, is tried as one more start.  The
-    reference energy comes first, since it refuses some inputs outright;
-    then ``minimize``, then the observables at the optimum.
+    The reference energy comes first, since it refuses some inputs
+    outright; then ``minimize``, then the observables at the optimum.
     """
-    req = default_request(cfg, fixed)
-    if warm is not None:
-        if not math.isinf(cfg.rho0):
-            warm = replace(warm, gamma=None)
-        req = replace(req, starts=req.starts + (warm,))
     e0 = hamiltonian.reference_energy(cfg)
-    result = minimize(req, spec)
+    result = minimize(default_request(cfg, fixed), spec)
     obs = hamiltonian.observables(result.params, cfg, spec)
     e = result.energy.total
     return ScanRecord(B=cfg.B, rho0=cfg.rho0, E=e,
@@ -232,51 +257,34 @@ def _failed_record(cfg: SystemConfig) -> ScanRecord:
                       cusp_Z=nan, converged=False, evals=0)
 
 
-def _scan_row(row: Sequence[SystemConfig],
-              spec: QuadratureSpec) -> list[ScanRecord]:
-    """Records of one B row, each warm-started from the previous optimum."""
-    records: list[ScanRecord] = []
-    warm: TrialParams | None = None
-    for cfg in row:
-        try:
-            rec = point_record(cfg, spec, warm=warm)
-            warm = TrialParams(alpha=rec.alpha, beta=rec.beta, nu=rec.nu,
-                               gamma=rec.gamma)
-        except Exception:
-            rec = _failed_record(cfg)
-        records.append(rec)
-    return records
+def _scan_point(cfg: SystemConfig, spec: QuadratureSpec) -> ScanRecord:
+    """``point_record(cfg, spec)``; a config that raises gives a NaN row."""
+    try:
+        return point_record(cfg, spec)
+    except Exception:
+        return _failed_record(cfg)
 
 
 def scan(grid: Sequence[SystemConfig], spec: QuadratureSpec,
          jobs: int = 1) -> list[ScanRecord]:
-    """One record per grid config under its own ``default_request``.
+    """One record per grid config under its own ``default_request``, in grid
+    order.
 
-    Configs with the same B form a row, in grid order; each row's points
-    are warm-started from the previous optimum in that row only.  Rows are
-    independent, so ``jobs > 1`` runs them in a process pool and the
-    records do not depend on ``jobs``.
+    Each record depends on its config alone, so ``jobs > 1`` runs the
+    configs in a process pool and the records do not depend on ``jobs`` or
+    on the rest of the grid.
     """
     if not grid:
         raise ValueError("scan grid must be non-empty")
-    rows: dict[float, list[int]] = {}
-    for i, cfg in enumerate(grid):
-        rows.setdefault(cfg.B, []).append(i)
-    tasks = [([grid[i] for i in index], spec) for index in rows.values()]
+    tasks = [(cfg, spec) for cfg in grid]
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        # The default start method: under spawn each worker re-imports numpy
-        # and scipy, which costs more than a whole row at 64 nodes.
-        pool = multiprocessing.Pool(workers)
-        try:
-            done = pool.starmap(_scan_row, tasks, chunksize=1)
-        finally:
-            pool.close()
-            pool.join()
-    else:
-        done = [_scan_row(*task) for task in tasks]
-    records: list[ScanRecord | None] = [None] * len(grid)
-    for index, row_records in zip(rows.values(), done):
-        for i, rec in zip(index, row_records):
-            records[i] = rec
-    return records
+    if workers <= 1:
+        return [_scan_point(*task) for task in tasks]
+    # The default start method: under spawn each worker re-imports numpy and
+    # scipy, which costs more than a whole scan row at 64 nodes.
+    pool = multiprocessing.Pool(workers)
+    try:
+        return pool.starmap(_scan_point, tasks, chunksize=1)
+    finally:
+        pool.close()
+        pool.join()

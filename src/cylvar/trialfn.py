@@ -74,13 +74,18 @@ def admissible_bounds(cfg: SystemConfig) -> dict[str, tuple[float, bool]]:
 def check_admissible(values: Mapping[str, float | None],
                      cfg: SystemConfig) -> None:
     """Raise ValueError naming the first value outside the admissible set;
-    a value of None is unset, and gamma applies only at rho0 = inf."""
+    a value of None is unset, beta enters only as beta*B and so is 0 at
+    B = 0, and gamma applies only at rho0 = inf."""
     for name, (low, strict) in admissible_bounds(cfg).items():
         v = values.get(name)
         if v is not None and not (v > low if strict else v >= low):
             raise ValueError(f"{name} = {v:g} is not admissible: the trial "
                              f"state needs {name} {'>' if strict else '>='} "
                              f"{low:g}")
+    beta = values.get("beta")
+    if cfg.B == 0 and beta is not None and beta != 0:
+        raise ValueError(f"beta = {beta:g} is not admissible: beta enters "
+                         f"only as beta*B, so at B = 0 it must be 0")
     if values.get("gamma") is not None and not math.isinf(cfg.rho0):
         raise ValueError("gamma only applies to the rho0 = inf variant")
 

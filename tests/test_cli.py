@@ -69,6 +69,8 @@ def test_numeric_failure_exits_1(capsys):
     (["--B", "1", "--rho0", "inf", "--alpha", "1", "--beta", "0"], "beta"),
     (["--rho0", "2", "--alpha", "0", "--beta", "0", "--nu", "2"], "alpha"),
     (["--rho0", "2", "--gamma", "0.3"], "gamma"),
+    (["--B", "0", "--rho0", "2", "--alpha", "1.1", "--beta", "0.3",
+      "--nu", "3.5"], "beta"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     code, out, err = run(["energy", "--nodes", "48"] + argv, capsys)
@@ -130,6 +132,21 @@ def test_config_file_must_be_object(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--config", str(path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,config", [
+    ("energy", {"coulomb": "of"}),
+    ("scan", {"format": "xml", "nodes": 32}),
+])
+def test_config_value_outside_choices_exits_2(command, config, tmp_path,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_verify_appendix(capsys):

@@ -1,7 +1,9 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from cylvar import hamiltonian
 from cylvar.optimizer import (DEFAULT_STARTS, INF_STARTS, OptimizeRequest,
@@ -73,6 +75,69 @@ def test_evals_count_every_objective_evaluation(monkeypatch):
     assert calls > len(req.starts)
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.floats(0.8, 15.0))
+def test_minimize_is_as_low_as_every_start(B, rho0):
+    # One solve per basin finds the optimum: no start, run alone, ends
+    # lower, the fallback-only ones included.
+    spec = QuadratureSpec(48, 48)
+    req = default_request(SystemConfig(B=B, rho0=rho0))
+    e = minimize(req, spec).energy.total
+    alone = [minimize(replace(req, starts=(s,)), spec).energy.total
+             for s in req.starts]
+    assert e <= min(alone) + 1e-10
+
+
+def test_unconverged_solve_falls_back_to_every_start(monkeypatch):
+    nfev = []
+    lbfgsb = scipy.optimize.minimize
+
+    def first_unconverged(*args, **kwargs):
+        res = lbfgsb(*args, **kwargs)
+        if not nfev:
+            res.success = False
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", first_unconverged)
+    req = default_request(SystemConfig(B=0.4, rho0=2.0))
+    res = minimize(req, SPEC)
+    assert len(nfev) == len(req.starts)
+    assert res.evals == sum(nfev)
+
+
+def test_readme_scan_takes_one_solve_per_basin(monkeypatch):
+    solves = 0
+    lbfgsb = scipy.optimize.minimize
+
+    def counted(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return lbfgsb(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    grid = [SystemConfig(B=b, rho0=r) for b in (0.0, 0.4, 0.8, 1.0)
+            for r in (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)]
+    records = scan(grid, SPEC)
+    assert all(r.converged for r in records)
+    # one basin at B = 0 (beta pinned), two at B > 0; no fallback
+    assert solves == 6 * 1 + 18 * 2
+    assert sum(r.evals for r in records) <= 50 * len(records)
+
+
+def test_each_basin_start_can_win():
+    # Both cut-off shapes are local minima here.  The sharp one is lower by
+    # 4.7e-5 at (B, rho0) = (0.05, 5), the soft one by 9.6e-5 at (0.4, 3),
+    # and a solve from the other start stays in the other basin.
+    spec = QuadratureSpec(48, 48)
+    for B, rho0, winner in ((0.05, 5.0, 1), (0.4, 3.0, 0)):
+        req = default_request(SystemConfig(B=B, rho0=rho0))
+        res = minimize(req, spec)
+        assert res.start_index == winner
+        other = minimize(replace(req, starts=(req.starts[1 - winner],)), spec)
+        assert res.energy.total < other.energy.total - 1e-6
+
+
 def test_all_fixed_degenerates_to_single_evaluation(monkeypatch):
     cfg = SystemConfig(B=0.0, rho0=2.0)
     fixed = {"alpha": 1.1, "beta": 0.0, "nu": 3.5}
@@ -122,12 +187,14 @@ def test_request_validation():
         OptimizeRequest(cfg=cfg, free_params=("zeta",),
                         fixed_values={"alpha": 1, "beta": 0.0, "nu": 2.0})
     # pinned values outside the admissible set
-    for fixed in ({"alpha": 0.0}, {"nu": 0.5}, {"gamma": 0.3}):
+    for fixed in ({"alpha": 0.0}, {"nu": 0.5}, {"gamma": 0.3},
+                  {"beta": 0.3}):
         with pytest.raises(ValueError, match=next(iter(fixed))):
             default_request(cfg, fixed=fixed)
     with pytest.raises(ValueError, match="beta"):
         default_request(SystemConfig(B=1.0, rho0=math.inf),
                         fixed={"beta": 0.0})
+    assert default_request(cfg, fixed={"beta": 0.0}).fixed_values["beta"] == 0
 
 
 def test_select_best_tiebreak():

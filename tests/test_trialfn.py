@@ -60,7 +60,7 @@ def test_density_is_square_and_nonnegative():
 
 @pytest.mark.parametrize("params", [
     TrialParams(alpha=0.0), TrialParams(alpha=-1.0),
-    TrialParams(alpha=1.0, nu=0.5),
+    TrialParams(alpha=1.0, nu=0.5), TrialParams(alpha=1.0, beta=0.1),
 ])
 def test_invalid_params(params):
     with pytest.raises(ValueError, match="not admissible"):
