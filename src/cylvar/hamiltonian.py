@@ -16,8 +16,7 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, cylinder_grid
 from .specfun import landau_cylinder_energy
-from .trialfn import (Geometry, SystemConfig, TrialParams, check_admissible,
-                      evaluate, sample)
+from .trialfn import SystemConfig, TrialParams, check_admissible, evaluate
 
 __all__ = [
     "EnergyBreakdown",
@@ -110,43 +109,118 @@ def energy(params: TrialParams, cfg: SystemConfig,
 
 @dataclass(frozen=True)
 class FixedRule:
-    """A quadrature rule held fixed for one solve, with the parameter-free
-    arrays on its nodes: weights, geometry and the potential U."""
+    """A quadrature rule held fixed for one solve, with its parameter-free
+    arrays.
 
-    weights: np.ndarray
-    geom: Geometry
-    potential: np.ndarray
+    psi = f(rho) h with h = exp(-alpha*r), so every integral the energy
+    needs is a sum over the radial nodes of f, f' and the per-row moments
+    m_c(rho_i) = sum_j W_ij exp(-2 alpha r_ij) c_ij.  ``stack`` holds
+    W * c for c = 1, rho/r, r and, with the Coulomb term on, 1/r, as an
+    (n_rho, k, n_z) array.
+    """
+
+    rho: np.ndarray       # radial nodes
+    x: np.ndarray | None  # rho/rho0 at finite rho0
+    ln_x: np.ndarray | None
+    zeeman: np.ndarray    # B^2 rho^2 / 8 on the radial nodes
+    r: np.ndarray         # (n_rho, n_z)
+    stack: np.ndarray
 
 
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
                spec: QuadratureSpec) -> FixedRule:
     """The rule ``energy`` would use at ``params``, frozen."""
     R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
-    geom = Geometry(cfg, R, Z)
-    potential = (cfg.B**2 / 8.0) * geom.rho2
+    rho = R[:, 0]
+    r = np.hypot(R, Z)
+    columns = [W, W * (R / r), W * r]
     if cfg.coulomb_on:
-        potential = potential - 1.0 / geom.r
-    return FixedRule(weights=W, geom=geom, potential=potential)
+        columns.append(W / r)
+    x = None if math.isinf(cfg.rho0) else rho / cfg.rho0
+    return FixedRule(rho=rho, x=x, ln_x=None if x is None else np.log(x),
+                     zeeman=(cfg.B**2 / 8.0) * rho**2, r=r,
+                     stack=np.stack(columns, axis=1))
+
+
+def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
+                   wrt: tuple[str, ...]):
+    """f = p(rho) exp(-beta*B*rho^2) and f' on the radial nodes, with
+    (df/dtheta, df'/dtheta) for each theta in ``wrt`` other than alpha."""
+    rho = rule.rho
+    B = cfg.B
+    gauss = np.exp(-params.beta * B * rho**2)
+    dlog = -2.0 * params.beta * B * rho
+    if rule.x is None:
+        g = 0.0 if params.gamma is None else params.gamma
+        p, dp = 1.0 + g**2 * rho**2, 2.0 * g**2 * rho
+    else:
+        x_nu1 = rule.x ** (params.nu - 1.0)
+        p, dp = 1.0 - x_nu1 * rule.x, -(params.nu / cfg.rho0) * x_nu1
+    f = p * gauss
+    df = (dp + p * dlog) * gauss
+
+    def prefactor_term(q, dq):
+        # p moves by q = dp/dtheta, and p' by dq.
+        return q * gauss, (dq + q * dlog) * gauss
+
+    derivs = []
+    for name in wrt:
+        if name == "alpha":
+            derivs.append(None)  # alpha enters through h alone
+        elif name == "beta":
+            derivs.append((-B * rho**2 * f,
+                           -2.0 * B * rho * f - B * rho**2 * df))
+        elif name == "nu":
+            derivs.append(prefactor_term(
+                -x_nu1 * rule.x * rule.ln_x,
+                -(x_nu1 / cfg.rho0) * (params.nu * rule.ln_x + 1.0)))
+        elif name == "gamma":
+            derivs.append(prefactor_term(2.0 * g * rho**2, 4.0 * g * rho))
+        else:
+            raise ValueError(f"unknown parameter name: {name!r}")
+    return f, df, derivs
 
 
 def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                     wrt: tuple[str, ...]) -> tuple[float, np.ndarray]:
     """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in ``wrt``.
 
-    With N = int psi^2, dE/dtheta = [int grad psi . grad(d psi)
-    + 2 int psi d psi (U - E)] / N, exact for the rule's nodes and weights.
+    |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2], so
+    N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1 - 2 alpha sum f f'
+    m_{rho/r}, V = sum f^2 (B^2 rho^2/8 m_1 - m_{1/r}) and E = (K/2 + V)/N,
+    exact for the rule's nodes and weights.  Besides the explicit alpha in
+    K, d/dalpha acts on the moments alone (dm_1 = -2 m_r, dm_{rho/r} =
+    -2 rho m_1, dm_{1/r} = -2 m_1), and the other parameters act on f and f'
+    alone.  One n_rho x n_z exp per call; the rest is O(n_rho).
     """
-    s, derivs = sample(params, cfg, rule.geom, wrt)
-    w_psi = rule.weights * s.psi
-    w_drho = rule.weights * s.dpsi_drho
-    w_dz = rule.weights * s.dpsi_dz
-    norm = np.vdot(w_psi, s.psi)
-    e = (0.5 * (np.vdot(w_drho, s.dpsi_drho) + np.vdot(w_dz, s.dpsi_dz))
-         + np.vdot(w_psi * rule.potential, s.psi)) / norm
-    w_u = 2.0 * w_psi * (rule.potential - e)
-    grad = np.array([np.vdot(w_drho, d.dpsi_drho) + np.vdot(w_dz, d.dpsi_dz)
-                     + np.vdot(w_u, d.psi) for d in derivs]) / norm
-    return float(e), grad
+    a = params.alpha
+    h2 = np.exp(-2.0 * a * rule.r)
+    m = np.matmul(rule.stack, h2[:, :, None])[:, :, 0]
+    m1, m_rho, m_r = m[:, 0], m[:, 1], m[:, 2]
+    f, df, derivs = _radial_factor(params, cfg, rule, wrt)
+    f2 = f * f
+    f_df = f * df
+    grad2 = df * df + a * a * f2
+    u = rule.zeeman * m1
+    if cfg.coulomb_on:
+        u = u - m[:, 3]
+    norm = f2 @ m1
+    e = (0.5 * (grad2 @ m1) - a * (f_df @ m_rho) + f2 @ u) / norm
+    # N dE/df and N dE/df' at each radial node.
+    e_f = a * a * f * m1 - a * df * m_rho + 2.0 * f * (u - e * m1)
+    e_df = df * m1 - a * f * m_rho
+    grad = []
+    for d in derivs:
+        if d is not None:
+            grad.append(d[0] @ e_f + d[1] @ e_df)
+            continue
+        # N dE/dalpha = d(K/2 + V)/dalpha - E dN/dalpha
+        d_alpha = (-(grad2 + 2.0 * f2 * (rule.zeeman - e)) @ m_r + a * norm
+                   - f_df @ m_rho + 2.0 * a * (f_df * rule.rho) @ m1)
+        if cfg.coulomb_on:
+            d_alpha += 2.0 * norm  # -sum f^2 dm_{1/r}
+        grad.append(d_alpha)
+    return float(e), np.array(grad) / norm
 
 
 def observables(params: TrialParams, cfg: SystemConfig,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from . import hamiltonian
@@ -62,6 +63,14 @@ INF_STARTS = (
 # and a gtol of 1e-8 stops nu far from its optimum there.
 _FTOL = 1e-14
 _GTOL = 1e-10
+# A gtol of 1e-10 is below what double precision certifies for E of order
+# 1, so a solve may instead end in a failed line search (L-BFGS-B status 2)
+# at a point where rounding hides every descent direction.  Such a stall
+# counts as converged when the quadratic model of E there is convex and its
+# decrease is within the rounding of E (see _stalled_at_minimum).
+_LINE_SEARCH_FAILED = 2
+_HESSIAN_STEP = 1e-6  # forward difference, relative to max(1, |x|)
+_ROUNDING_DECREASE = 64 * np.finfo(float).eps  # relative to max(|E|, 1)
 _MAX_EVALS = 2000  # objective evaluations per solve
 _MIN_BETA_SCALE = 1e-150  # see OptimizeRequest.scales
 # L-BFGS-B takes closed bounds: a strict one moves this far inside.
@@ -136,14 +145,37 @@ class OptimizeResult:
     start_index: int
 
 
+def _stalled_at_minimum(objective, res) -> bool:
+    """Whether the point where L-BFGS-B's line search failed is a minimum
+    to rounding: the forward-difference Hessian H of the analytic gradient
+    g is positive definite, and the Newton decrease g^T H^-1 g / 2 is within
+    the rounding of E.  Costs one objective evaluation per coordinate."""
+    x, g = res.x, res.jac
+    steps = _HESSIAN_STEP * np.maximum(1.0, np.abs(x))
+    hess = np.array([(objective(x + h * unit)[1] - g) / h
+                     for h, unit in zip(steps, np.eye(len(x)))])
+    try:
+        chol = np.linalg.cholesky(0.5 * (hess + hess.T))
+    except np.linalg.LinAlgError:
+        return False
+    w = scipy.linalg.solve_triangular(chol, g, lower=True)
+    return bool(0.5 * (w @ w) <= _ROUNDING_DECREASE * max(abs(res.fun), 1.0))
+
+
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
-                      start_index: int) -> tuple[OptimizeResult, bool]:
+                      start_index: int,
+                      rules: dict) -> tuple[OptimizeResult, bool]:
     """One L-BFGS-B solve on the rule adapted to the start, and whether it
-    ended with a free parameter on its lower bound."""
+    ended with a free parameter on its lower bound.  ``rules`` maps each
+    adapted spec to its rule, so starts that adapt alike share one."""
     lows = req.lower_bounds()
     x0 = [v if lo is None else max(v, lo) for v, lo in
           zip(req.start_vector(req.starts[start_index]), lows)]
-    rule = hamiltonian.fixed_rule(req.build_params(x0), req.cfg, spec)
+    start = req.build_params(x0)
+    key = hamiltonian.adapted_spec(spec, start, req.cfg)
+    if key not in rules:
+        rules[key] = hamiltonian.fixed_rule(start, req.cfg, spec)
+    rule = rules[key]
     scales = np.array(req.scales())
 
     def objective(x):
@@ -155,10 +187,14 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
         objective, x0, jac=True, method="L-BFGS-B",
         bounds=[(lo, None) for lo in lows],
         options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=_MAX_EVALS))
+    evals, converged = res.nfev, bool(res.success)
+    if res.status == _LINE_SEARCH_FAILED:
+        converged = _stalled_at_minimum(objective, res)
+        evals += len(res.x)
     params = req.build_params(res.x)
     result = OptimizeResult(params=params,
                             energy=hamiltonian.energy(params, req.cfg, spec),
-                            evals=res.nfev, converged=bool(res.success),
+                            evals=evals, converged=converged,
                             start_index=start_index)
     return result, any(lo is not None and v <= lo
                        for v, lo in zip(res.x, lows))
@@ -194,12 +230,13 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
                               energy=hamiltonian.energy(params, req.cfg, spec),
                               evals=1, converged=True, start_index=0)
     n = min(_basins(req), len(req.starts))
-    runs = [_run_single_start(req, spec, i) for i in range(n)]
+    rules = {}
+    runs = [_run_single_start(req, spec, i, rules) for i in range(n)]
     candidates = [result for result, _ in runs]
     if all(result.converged and not on_bound for result, on_bound in runs):
         best = min(candidates, key=lambda c: c.energy.total)
     else:
-        candidates += [_run_single_start(req, spec, i)[0]
+        candidates += [_run_single_start(req, spec, i, rules)[0]
                        for i in range(n, len(req.starts))]
         best = _select_best(candidates, req.tol_energy)
     return replace(best, evals=sum(c.evals for c in candidates))

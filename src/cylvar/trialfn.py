@@ -8,15 +8,14 @@ The confined ansatz (ground state, m = 0, p = 0) is
 which vanishes on the cylinder wall.  For rho0 = inf the cut-off factor is
 replaced by the polynomial prefactor (1 + gamma^2 rho^2).  Amplitudes are
 real; analytic first derivatives are provided for the gradient-form kinetic
-energy, and their derivatives in the parameters for the energy gradient.
+energy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "admissible_bounds",
     "check_admissible",
     "WavefunctionSample",
-    "Geometry",
-    "sample",
     "evaluate",
     "density",
 ]
@@ -97,103 +94,42 @@ class WavefunctionSample:
     dpsi_dz: np.ndarray
 
 
-class Geometry:
-    """Parameter-free arrays at a set of points (rho, z) in the cavity.
-
-    Built once per node set and shared by every trial state evaluated on
-    it.  Raises ValueError if any rho lies outside the cavity.
-    """
-
-    def __init__(self, cfg: SystemConfig, rho, z):
-        rho = np.asarray(rho, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if np.any(rho > cfg.rho0):
-            raise ValueError("rho exceeds the cavity radius rho0")
-        self.rho0 = cfg.rho0
-        self.rho = rho
-        self.rho2 = rho**2
-        self.r = np.hypot(rho, z)
-        # rho/r and z/r are bounded; define them as 0 at the origin (the
-        # derivative there only ever enters integrals with weight rho).
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nonzero = np.where(self.r > 0, self.r, 1.0)
-            self.rho_over_r = np.where(self.r > 0, rho / nonzero, 0.0)
-            self.z_over_r = np.where(self.r > 0, z / nonzero, 0.0)
-        self.x = None if math.isinf(cfg.rho0) else rho / cfg.rho0
-
-    @cached_property
-    def ln_x(self) -> np.ndarray:
-        """ln(rho/rho0), needed only for the derivative in nu."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.x)
-
-
-def sample(params: TrialParams, cfg: SystemConfig, geom: Geometry,
-           wrt: Sequence[str] = ()):
-    """Amplitude and spatial partials on ``geom``, plus the same three
-    arrays differentiated with respect to each parameter named in ``wrt``.
-
-    Returns ``(sample, [d sample / d theta for theta in wrt])``.
-    """
-    B = cfg.B
-    expo = np.exp(-params.alpha * geom.r - params.beta * B * geom.rho2)
-    dlog_drho = (-params.alpha * geom.rho_over_r
-                 - 2.0 * params.beta * B * geom.rho)
-    dlog_dz = -params.alpha * geom.z_over_r
-
-    if geom.x is None:
-        g = 0.0 if params.gamma is None else params.gamma
-        pref = 1.0 + g**2 * geom.rho2
-        dpref = 2.0 * g**2 * geom.rho
-    else:
-        x_nu1 = geom.x ** (params.nu - 1.0)
-        pref = 1.0 - x_nu1 * geom.x
-        dpref = -(params.nu / geom.rho0) * x_nu1
-
-    psi = pref * expo
-    dpsi_drho = (dpref + pref * dlog_drho) * expo
-    dpsi_dz = pref * dlog_dz * expo
-    s = WavefunctionSample(psi=psi, dpsi_drho=dpsi_drho, dpsi_dz=dpsi_dz)
-
-    def exponent_term(q, dq_drho, dq_dz):
-        # theta enters the exponent with d(exponent)/d(theta) = q, so
-        # d(psi)/d(theta) = q psi and its partials follow by the product rule.
-        return WavefunctionSample(psi=q * psi,
-                                  dpsi_drho=q * dpsi_drho + dq_drho * psi,
-                                  dpsi_dz=q * dpsi_dz + dq_dz * psi)
-
-    def prefactor_term(q, dq_drho):
-        # psi = pref * expo with d(pref)/d(theta) = q.
-        return WavefunctionSample(psi=q * expo,
-                                  dpsi_drho=(dq_drho + q * dlog_drho) * expo,
-                                  dpsi_dz=q * dlog_dz * expo)
-
-    derivs = []
-    for name in wrt:
-        if name == "alpha":
-            derivs.append(exponent_term(-geom.r, -geom.rho_over_r,
-                                        -geom.z_over_r))
-        elif name == "beta":
-            derivs.append(exponent_term(-B * geom.rho2, -2.0 * B * geom.rho,
-                                        0.0))
-        elif name == "nu":
-            q = -x_nu1 * geom.x * geom.ln_x
-            dq = -(x_nu1 / geom.rho0) * (params.nu * geom.ln_x + 1.0)
-            derivs.append(prefactor_term(q, dq))
-        elif name == "gamma":
-            derivs.append(prefactor_term(2.0 * g * geom.rho2,
-                                         4.0 * g * geom.rho))
-        else:
-            raise ValueError(f"unknown parameter name: {name!r}")
-    return s, derivs
-
-
 def evaluate(params: TrialParams, cfg: SystemConfig, rho, z) -> WavefunctionSample:
     """Amplitude and analytic partials at (rho, z); accepts ndarrays.
 
     Raises ValueError if any rho lies outside the cavity.
     """
-    return sample(params, cfg, Geometry(cfg, rho, z))[0]
+    rho = np.asarray(rho, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if np.any(rho > cfg.rho0):
+        raise ValueError("rho exceeds the cavity radius rho0")
+    rho2 = rho**2
+    r = np.hypot(rho, z)
+    # rho/r and z/r are bounded; define them as 0 at the origin (the
+    # derivative there only ever enters integrals with weight rho).
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nonzero = np.where(r > 0, r, 1.0)
+        rho_over_r = np.where(r > 0, rho / nonzero, 0.0)
+        z_over_r = np.where(r > 0, z / nonzero, 0.0)
+
+    B = cfg.B
+    expo = np.exp(-params.alpha * r - params.beta * B * rho2)
+    dlog_drho = -params.alpha * rho_over_r - 2.0 * params.beta * B * rho
+    dlog_dz = -params.alpha * z_over_r
+
+    if math.isinf(cfg.rho0):
+        g = 0.0 if params.gamma is None else params.gamma
+        pref = 1.0 + g**2 * rho2
+        dpref = 2.0 * g**2 * rho
+    else:
+        x = rho / cfg.rho0
+        x_nu1 = x ** (params.nu - 1.0)
+        pref = 1.0 - x_nu1 * x
+        dpref = -(params.nu / cfg.rho0) * x_nu1
+
+    return WavefunctionSample(psi=pref * expo,
+                              dpsi_drho=(dpref + pref * dlog_drho) * expo,
+                              dpsi_dz=pref * dlog_dz * expo)
 
 
 def density(params: TrialParams, cfg: SystemConfig, rho, z):

@@ -111,6 +111,14 @@ def test_pure_confinement_scaling():
      SystemConfig(B=0.5, rho0=math.inf), ("alpha", "beta", "gamma")),
     (TrialParams(alpha=1.3, beta=0.0, nu=2.5), SystemConfig(B=0.0, rho0=2.0),
      ("alpha", "nu")),
+    (TrialParams(alpha=0.6, beta=0.2, nu=2.5),
+     SystemConfig(B=0.7, rho0=3.0, coulomb_on=False), ("alpha", "beta", "nu")),
+    # nu is flat here: dE/dnu = -4.1e-4.  Nearer the optimum (nu ~ 19) it
+    # is about 1e-11, below what a central difference in E resolves.
+    (TrialParams(alpha=1.2, beta=0.0, nu=3.0), SystemConfig(B=0.0, rho0=15.0),
+     ("alpha", "nu")),
+    (TrialParams(alpha=1.1, beta=0.0, gamma=0.3),
+     SystemConfig(B=0.0, rho0=math.inf), ("alpha", "gamma")),
 ])
 def test_energy_gradient_matches_central_differences(params, cfg, wrt):
     rule = fixed_rule(params, cfg, SPEC)

@@ -125,6 +125,51 @@ def test_readme_scan_takes_one_solve_per_basin(monkeypatch):
     assert sum(r.evals for r in records) <= 50 * len(records)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-16, -1e-16, 3e-16, -3e-16, 1e-15,
+                                 -1e-15])
+def test_convergence_does_not_depend_on_rounding(monkeypatch, eps):
+    # E and its gradient scaled by (1 + eps) differ from the unscaled ones
+    # by rounding alone, so every solve converges either way and none
+    # falls back to the other starts.
+    solves = 0
+    lbfgsb = scipy.optimize.minimize
+    gradient = hamiltonian.energy_gradient
+
+    def counted(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return lbfgsb(*args, **kwargs)
+
+    def scaled(*args):
+        e, grad = gradient(*args)
+        return e * (1.0 + eps), grad * (1.0 + eps)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    monkeypatch.setattr(hamiltonian, "energy_gradient", scaled)
+    outcome = {}
+    for point in ((0.4, 2.0), (1.0, 3.0), (0.8, 0.8), (0.4, 0.8), (1.0, 1.0),
+                  (0.4, 1.5)):
+        solves = 0
+        res = minimize(default_request(SystemConfig(*point)), SPEC)
+        outcome[point] = (solves, res.converged)
+    assert outcome == {point: (2, True) for point in outcome}
+
+
+def test_basin_starts_share_one_rule(monkeypatch):
+    # Both basin starts have alpha = 1, so they adapt the rule alike.
+    calls = 0
+    build = hamiltonian.fixed_rule
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return build(*args)
+
+    monkeypatch.setattr(hamiltonian, "fixed_rule", counted)
+    minimize(default_request(SystemConfig(B=0.4, rho0=2.0)), SPEC)
+    assert calls == 1
+
+
 def test_each_basin_start_can_win():
     # Both cut-off shapes are local minima here.  The sharp one is lower by
     # 4.7e-5 at (B, rho0) = (0.05, 5), the soft one by 9.6e-5 at (0.4, 3),
