@@ -1,7 +1,7 @@
 """Variational toolkit for the hydrogen atom confined in an infinite
 cylinder under an axial magnetic field."""
 
-from .quadrature import QuadratureSpec, integrate_cylinder, convergence_check
+from .quadrature import QuadratureSpec
 from .trialfn import TrialParams, SystemConfig
 from .hamiltonian import (EnergyBreakdown, Observables, energy, observables,
                           binding_energy, reference_energy,

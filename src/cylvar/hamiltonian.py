@@ -1,9 +1,13 @@
 """Rayleigh quotient, term breakdown and derived observables.
 
-The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
-equivalent to -psi Lap psi / 2 under the Dirichlet wall and avoids second
-derivatives of the cut-off factor.  All expectation values are taken with
-the density normalized on the quadrature grid.
+psi = f(rho) exp(-alpha r), so every integral the energy needs is a sum over
+the radial nodes of f, f' and a few per-row moments of exp(-2 alpha r) on a
+``FixedRule``.  ``energy`` takes them on the rule adapted to its parameters,
+and ``energy_gradient`` on a rule held fixed for one solve.  The kinetic
+energy uses the gradient form (1/2) int |grad psi|^2, which is equivalent to
+-psi Lap psi / 2 under the Dirichlet wall and avoids second derivatives of
+the cut-off factor.  All expectation values are taken with the density
+normalized on the quadrature grid.
 """
 
 from __future__ import annotations
@@ -69,48 +73,10 @@ def adapted_spec(spec: QuadratureSpec, params: TrialParams,
     return replace(spec, z_scale=z_scale, rho_scale=rho_scale)
 
 
-def _fields(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec):
-    spec = adapted_spec(spec, params, cfg)
-    R, Z, W = cylinder_grid(cfg.rho0, spec)
-    sample = evaluate(params, cfg, R, Z)
-    return R, Z, W, sample
-
-
-def energy(params: TrialParams, cfg: SystemConfig,
-           spec: QuadratureSpec) -> EnergyBreakdown:
-    """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state.
-
-    Raises ValueError for parameters outside the admissible set, and
-    ArithmeticError for a norm that is not finite and positive or a total
-    that is not finite.
-    """
-    check_admissible(asdict(params), cfg)
-    R, Z, W, s = _fields(params, cfg, spec)
-    psi2 = s.psi**2
-    norm = float(np.sum(W * psi2))
-    if not (math.isfinite(norm) and norm > 0):
-        raise ArithmeticError(f"trial norm {norm:g} on the quadrature grid "
-                              f"at {params}")
-
-    kinetic = 0.5 * float(np.sum(W * (s.dpsi_drho**2 + s.dpsi_dz**2))) / norm
-    if cfg.coulomb_on:
-        r = np.hypot(R, Z)
-        coulomb = -float(np.sum(W * psi2 / r)) / norm
-    else:
-        coulomb = 0.0
-    zeeman_quadratic = (cfg.B**2 / 8.0) * float(np.sum(W * psi2 * R**2)) / norm
-    total = kinetic + coulomb + zeeman_quadratic
-    if not math.isfinite(total):
-        raise ArithmeticError(f"non-finite energy {total} at {params}")
-    return EnergyBreakdown(kinetic=kinetic, coulomb=coulomb,
-                           zeeman_quadratic=zeeman_quadratic,
-                           total=total, norm=norm)
-
-
 @dataclass(frozen=True)
 class FixedRule:
-    """A quadrature rule held fixed for one solve, with its parameter-free
-    arrays.
+    """A quadrature rule with its parameter-free arrays, held fixed for one
+    solve or built for one ``energy``.
 
     psi = f(rho) h with h = exp(-alpha*r), so every integral the energy
     needs is a sum over the radial nodes of f, f' and the per-row moments
@@ -129,7 +95,7 @@ class FixedRule:
 
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
                spec: QuadratureSpec) -> FixedRule:
-    """The rule ``energy`` would use at ``params``, frozen."""
+    """The rule ``energy`` uses at ``params``, to hold fixed for a solve."""
     R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
     rho = R[:, 0]
     r = np.hypot(R, Z)
@@ -181,6 +147,47 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     return f, df, derivs
 
 
+def _moments(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
+             wrt: tuple[str, ...]):
+    """The rule's moments m_c per radial node (an (n_rho, k) array, columns
+    as in ``stack``) at ``params.alpha``, and ``_radial_factor``."""
+    h2 = np.exp(-2.0 * params.alpha * rule.r)
+    m = np.matmul(rule.stack, h2[:, :, None])[:, :, 0]
+    return (m, *_radial_factor(params, cfg, rule, wrt))
+
+
+def energy(params: TrialParams, cfg: SystemConfig,
+           spec: QuadratureSpec) -> EnergyBreakdown:
+    """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state: the
+    moment sums of ``energy_gradient`` on the rule adapted to ``params``.
+
+    Raises ValueError for parameters outside the admissible set, and
+    ArithmeticError for a norm that is not finite and positive or a total
+    that is not finite.
+    """
+    check_admissible(asdict(params), cfg)
+    rule = fixed_rule(params, cfg, spec)
+    m, f, df, _ = _moments(params, cfg, rule, ())
+    m1 = m[:, 0]
+    f2 = f * f
+    norm = float(f2 @ m1)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ArithmeticError(f"trial norm {norm:g} on the quadrature grid "
+                              f"at {params}")
+
+    a = params.alpha
+    kinetic = float(0.5 * ((df * df + a * a * f2) @ m1)
+                    - a * ((f * df) @ m[:, 1])) / norm
+    coulomb = -float(f2 @ m[:, 3]) / norm if cfg.coulomb_on else 0.0
+    zeeman_quadratic = float(f2 @ (rule.zeeman * m1)) / norm
+    total = kinetic + coulomb + zeeman_quadratic
+    if not math.isfinite(total):
+        raise ArithmeticError(f"non-finite energy {total} at {params}")
+    return EnergyBreakdown(kinetic=kinetic, coulomb=coulomb,
+                           zeeman_quadratic=zeeman_quadratic,
+                           total=total, norm=norm)
+
+
 def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                     wrt: tuple[str, ...]) -> tuple[float, np.ndarray]:
     """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in ``wrt``.
@@ -194,10 +201,8 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     alone.  One n_rho x n_z exp per call; the rest is O(n_rho).
     """
     a = params.alpha
-    h2 = np.exp(-2.0 * a * rule.r)
-    m = np.matmul(rule.stack, h2[:, :, None])[:, :, 0]
+    m, f, df, derivs = _moments(params, cfg, rule, wrt)
     m1, m_rho, m_r = m[:, 0], m[:, 1], m[:, 2]
-    f, df, derivs = _radial_factor(params, cfg, rule, wrt)
     f2 = f * f
     f_df = f * df
     grad2 = df * df + a * a * f2
@@ -226,8 +231,8 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
 def observables(params: TrialParams, cfg: SystemConfig,
                 spec: QuadratureSpec) -> Observables:
     """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp."""
-    R, Z, W, s = _fields(params, cfg, spec)
-    psi2 = s.psi**2
+    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
+    psi2 = evaluate(params, cfg, R, Z).psi**2
     norm = float(np.sum(W * psi2))
     dens = psi2 / norm
 

@@ -217,9 +217,10 @@ def _basins(req: OptimizeRequest) -> int:
 
 
 def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
-    """Lowest energy over one solve from each basin's start; the best over
-    every start (deterministic ties) when one of those solves ends
-    unconverged or with a free parameter on its lower bound.
+    """Lowest energy over one solve from each basin's start, ties to the
+    rounding of E broken as in ``_select_best``; the best over every start
+    (ties within ``tol_energy``) when one of those solves ends unconverged
+    or with a free parameter on its lower bound.
 
     ``evals`` counts objective evaluations over every start run; a request
     with no free parameter is one energy evaluation.
@@ -234,11 +235,14 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
     runs = [_run_single_start(req, spec, i, rules) for i in range(n)]
     candidates = [result for result, _ in runs]
     if all(result.converged and not on_bound for result, on_bound in runs):
-        best = min(candidates, key=lambda c: c.energy.total)
+        # Basin solves that end at one optimum tie to rounding.
+        e_min = min(c.energy.total for c in candidates)
+        tol = _ROUNDING_DECREASE * max(abs(e_min), 1.0)
     else:
         candidates += [_run_single_start(req, spec, i, rules)[0]
                        for i in range(n, len(req.starts))]
-        best = _select_best(candidates, req.tol_energy)
+        tol = req.tol_energy
+    best = _select_best(candidates, tol)
     return replace(best, evals=sum(c.evals for c in candidates))
 
 

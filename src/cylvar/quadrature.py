@@ -20,20 +20,8 @@ import numpy as np
 
 __all__ = [
     "QuadratureSpec",
-    "IntegrandEvaluationError",
     "cylinder_grid",
-    "integrate_cylinder",
-    "convergence_check",
 ]
-
-
-class IntegrandEvaluationError(RuntimeError):
-    """An integrand produced a non-finite value at a quadrature node."""
-
-    def __init__(self, rho: float, z: float):
-        self.rho = float(rho)
-        self.z = float(z)
-        super().__init__(f"non-finite integrand value at rho={rho!r}, z={z!r}")
 
 
 @dataclass(frozen=True)
@@ -98,27 +86,3 @@ def cylinder_grid(rho0: float, spec: QuadratureSpec):
     R, Z = np.meshgrid(rho, z, indexing="ij")
     W = 2.0 * np.pi * np.outer(w_rho * rho, 2.0 * w_z)
     return R, Z, W
-
-
-def integrate_cylinder(f, rho0: float, spec: QuadratureSpec) -> float:
-    """Integrate ``f(rho, z)`` over the cylinder interior (z-even f).
-
-    ``f`` must accept ndarray arguments and evaluate elementwise.
-    """
-    R, Z, W = cylinder_grid(rho0, spec)
-    vals = np.asarray(f(R, Z), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise IntegrandEvaluationError(R[i, j], Z[i, j])
-    return float(np.sum(W * vals))
-
-
-def convergence_check(f, rho0: float, spec: QuadratureSpec):
-    """Integral at ``spec`` plus the defect against the doubled rule.
-
-    Returns ``(value, est_error)`` where ``est_error`` is the absolute
-    difference between the two resolutions.
-    """
-    coarse = integrate_cylinder(f, rho0, spec)
-    fine = integrate_cylinder(f, rho0, spec.refined())
-    return coarse, abs(fine - coarse)

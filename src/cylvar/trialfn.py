@@ -7,8 +7,8 @@ The confined ansatz (ground state, m = 0, p = 0) is
 
 which vanishes on the cylinder wall.  For rho0 = inf the cut-off factor is
 replaced by the polynomial prefactor (1 + gamma^2 rho^2).  Amplitudes are
-real; analytic first derivatives are provided for the gradient-form kinetic
-energy.
+real; the analytic first derivatives give the gradient-form kinetic energy
+node by node, an independent check of the moment form in ``hamiltonian``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "check_admissible",
     "WavefunctionSample",
     "evaluate",
-    "density",
 ]
 
 
@@ -130,8 +129,3 @@ def evaluate(params: TrialParams, cfg: SystemConfig, rho, z) -> WavefunctionSamp
     return WavefunctionSample(psi=pref * expo,
                               dpsi_drho=(dpref + pref * dlog_drho) * expo,
                               dpsi_dz=pref * dlog_dz * expo)
-
-
-def density(params: TrialParams, cfg: SystemConfig, rho, z):
-    """Unnormalized probability density psi^2."""
-    return evaluate(params, cfg, rho, z).psi ** 2

@@ -15,7 +15,7 @@ from cylvar import hamiltonian, optimizer
 from cylvar.appendix_rep import Poly2, TABLE_ROWS, apply_h, degeneracy_count, \
     map_labels, verify_table
 from cylvar.hydrogen2d import RadialGrid, _lowest_eigenvalue, ground_energy_2d
-from cylvar.quadrature import QuadratureSpec, integrate_cylinder
+from cylvar.quadrature import QuadratureSpec, cylinder_grid
 from cylvar.records import write_csv
 from cylvar.specfun import J01, kummer_m, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams, evaluate
@@ -286,13 +286,12 @@ def test_criterion_10_algebraic_table():
 
 def test_criterion_11_property_suite(tmp_path):
     failures = []
-    norm = integrate_cylinder(
-        lambda r, z: np.exp(-2.0 * np.hypot(r, z)), math.inf, SPEC)
+    R, Z, W = cylinder_grid(math.inf, SPEC)
+    r = np.hypot(R, Z)
+    norm = float(np.sum(W * np.exp(-2.0 * r)))
     _check(failures, abs(norm - math.pi) <= 1e-10,
            f"1s norm {norm!r} != pi")
-    inv_r = integrate_cylinder(
-        lambda r, z: np.exp(-2.0 * np.hypot(r, z)) / np.hypot(r, z),
-        math.inf, SPEC) / norm
+    inv_r = float(np.sum(W * np.exp(-2.0 * r) / r)) / norm
     _check(failures, abs(inv_r - 1.0) <= 1e-5, f"<1/r> = {inv_r!r} != 1")
 
     rng = np.random.default_rng(3)

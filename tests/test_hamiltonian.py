@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st, target
 from cylvar.hamiltonian import (adapted_spec, binding_energy, energy,
                                 energy_gradient, fit_large_rho0_tail,
                                 fixed_rule, observables, reference_energy)
-from cylvar.quadrature import QuadratureSpec
+from cylvar.quadrature import QuadratureSpec, cylinder_grid
 from cylvar.specfun import J01, Z_MAX, landau_cylinder_energy
-from cylvar.trialfn import SystemConfig, TrialParams
+from cylvar.trialfn import SystemConfig, TrialParams, evaluate
 
 SPEC = QuadratureSpec(64, 64)
 FREE_H = SystemConfig(B=0.0, rho0=math.inf)
@@ -57,9 +57,13 @@ def test_invalid_params_raise():
     cfg = SystemConfig(B=1.0, rho0=math.inf)
     with pytest.raises(ValueError, match="beta"):
         energy(TrialParams(alpha=1.0, beta=0.0, gamma=0.0), cfg, SPEC)
-    # admissible, but psi vanishes on every node
-    with pytest.raises(ArithmeticError, match="norm"):
-        energy(TrialParams(alpha=1e300, beta=0.0, gamma=0.0), FREE_H, SPEC)
+    # admissible, but psi vanishes on every node: the norm is checked
+    # before any sum is divided by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="norm"):
+            energy(TrialParams(alpha=1e300, beta=0.0, gamma=0.0), FREE_H,
+                   SPEC)
 
 
 @st.composite
@@ -104,7 +108,7 @@ def test_pure_confinement_scaling():
     assert vals[0] == pytest.approx(vals[2], rel=1e-6)
 
 
-@pytest.mark.parametrize("params,cfg,wrt", [
+GRADIENT_STATES = [
     (TrialParams(alpha=1.2, beta=0.15, nu=2.5), SystemConfig(B=0.4, rho0=2.0),
      ("alpha", "beta", "nu")),
     (TrialParams(alpha=0.9, beta=0.3, gamma=0.4),
@@ -119,7 +123,10 @@ def test_pure_confinement_scaling():
      ("alpha", "nu")),
     (TrialParams(alpha=1.1, beta=0.0, gamma=0.3),
      SystemConfig(B=0.0, rho0=math.inf), ("alpha", "gamma")),
-])
+]
+
+
+@pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_energy_gradient_matches_central_differences(params, cfg, wrt):
     rule = fixed_rule(params, cfg, SPEC)
     e, grad = energy_gradient(params, cfg, rule, wrt)
@@ -133,6 +140,30 @@ def test_energy_gradient_matches_central_differences(params, cfg, wrt):
                                   rule, ())[0] for step in (h, -h))
         fd.append((up - dn) / (2.0 * h))
     np.testing.assert_allclose(grad, fd, rtol=1e-6)
+
+
+def grid_rayleigh_quotient(params, cfg, spec):
+    """The energy terms as 2-D sums of psi and its partials over the grid
+    ``energy`` uses: the kinetic term from |grad psi|^2 node by node, with
+    none of the radial-moment algebra."""
+    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
+    s = evaluate(params, cfg, R, Z)
+    psi2 = s.psi**2
+    norm = np.sum(W * psi2)
+    coulomb = (-np.sum(W * psi2 / np.hypot(R, Z)) / norm if cfg.coulomb_on
+               else 0.0)
+    return dict(
+        kinetic=0.5 * np.sum(W * (s.dpsi_drho**2 + s.dpsi_dz**2)) / norm,
+        coulomb=coulomb,
+        zeeman_quadratic=(cfg.B**2 / 8.0) * np.sum(W * psi2 * R**2) / norm,
+        norm=norm)
+
+
+@pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
+def test_energy_terms_match_grid_rayleigh_quotient(params, cfg, wrt):
+    br = energy(params, cfg, SPEC)
+    for name, ref in grid_rayleigh_quotient(params, cfg, SPEC).items():
+        assert getattr(br, name) == pytest.approx(ref, rel=1e-12), name
 
 
 def test_observables_free_atom():

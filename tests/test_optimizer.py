@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from cylvar import hamiltonian
+from cylvar import hamiltonian, optimizer
 from cylvar.optimizer import (DEFAULT_STARTS, INF_STARTS, OptimizeRequest,
                               OptimizeResult, _select_best, default_request,
                               minimize, scan)
@@ -157,16 +157,20 @@ def test_convergence_does_not_depend_on_rounding(monkeypatch, eps):
 
 def test_basin_starts_share_one_rule(monkeypatch):
     # Both basin starts have alpha = 1, so they adapt the rule alike.
+    # ``energy`` builds a rule of its own at each solve's optimum: only the
+    # rules built at a basin start's parameters count here.
+    req = default_request(SystemConfig(B=0.4, rho0=2.0))
+    starts = {req.build_params(req.start_vector(s)) for s in req.starts[:2]}
     calls = 0
     build = hamiltonian.fixed_rule
 
-    def counted(*args):
+    def counted(params, *args):
         nonlocal calls
-        calls += 1
-        return build(*args)
+        calls += params in starts
+        return build(params, *args)
 
     monkeypatch.setattr(hamiltonian, "fixed_rule", counted)
-    minimize(default_request(SystemConfig(B=0.4, rho0=2.0)), SPEC)
+    minimize(req, SPEC)
     assert calls == 1
 
 
@@ -258,6 +262,22 @@ def test_select_best_tiebreak():
     picked = _select_best([cand(-0.5, 2.0, 0.1, 0),
                            cand(-0.4, 1.0, 0.0, 1)], 1e-6)
     assert picked.start_index == 0
+
+
+def test_basin_solves_tied_to_rounding_pick_smallest_nu(monkeypatch):
+    # Both basin solves end at one optimum, with E one ulp apart either
+    # way: the printed parameters must not depend on which is lower.
+    e = 1.29824144
+    for energies in ((e, math.nextafter(e, 0.0)), (math.nextafter(e, 0.0), e)):
+        def solve(req, spec, i, rules):
+            params = TrialParams(alpha=1.3, beta=0.32, nu=2.75 + 1e-7 * i)
+            br = hamiltonian.EnergyBreakdown(0, 0, 0, energies[i], 1.0)
+            return OptimizeResult(params=params, energy=br, evals=10,
+                                  converged=True, start_index=i), False
+
+        monkeypatch.setattr(optimizer, "_run_single_start", solve)
+        res = minimize(default_request(SystemConfig(B=0.4, rho0=1.0)), SPEC)
+        assert (res.start_index, res.evals) == (0, 20)
 
 
 def test_scan_produces_one_record_per_config():

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import asdict
 
 from cylvar.trialfn import (SystemConfig, TrialParams, check_admissible,
-                            density, evaluate)
+                            evaluate)
 
 RNG = np.random.default_rng(7)
 
@@ -46,16 +46,6 @@ def test_analytic_derivatives_match_finite_differences(params, cfg):
     scale = np.max(np.abs(s.psi))
     assert np.max(np.abs(s.dpsi_drho - fd_rho)) <= 1e-7 * scale
     assert np.max(np.abs(s.dpsi_dz - fd_z)) <= 1e-7 * scale
-
-
-def test_density_is_square_and_nonnegative():
-    params = TrialParams(alpha=1.0, beta=0.1, nu=2.0)
-    cfg = SystemConfig(B=0.5, rho0=3.0)
-    rho = RNG.uniform(0.0, 3.0, 50)
-    z = RNG.uniform(-2.0, 2.0, 50)
-    d = density(params, cfg, rho, z)
-    assert np.all(d >= 0.0)
-    np.testing.assert_allclose(d, evaluate(params, cfg, rho, z).psi**2)
 
 
 @pytest.mark.parametrize("params", [
