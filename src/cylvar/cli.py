@@ -9,6 +9,7 @@ else (``--jobs`` only) from ``CYLVAR_JOBS``, else from its built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -245,6 +246,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(jobs_env: str | None) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per value of ``CYLVAR_JOBS``: the
+    parser holds that value as the ``--jobs`` default, and ``main`` never
+    changes a parser it parses with."""
+    return build_parser()
+
+
 def _read_config(path: str) -> dict:
     with open(path) as fh:
         config = json.load(fh)
@@ -254,7 +263,7 @@ def _read_config(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser(os.environ.get("CYLVAR_JOBS"))
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         # Parse again with the file's values as defaults, so that flags on

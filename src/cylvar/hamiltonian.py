@@ -1,13 +1,15 @@
 """Rayleigh quotient, term breakdown and derived observables.
 
-psi = f(rho) exp(-alpha r), so every integral the energy needs is a sum over
-the radial nodes of f, f' and a few per-row moments of exp(-2 alpha r) on a
-``FixedRule``.  ``energy`` takes them on the rule adapted to its parameters,
-and ``energy_gradient`` on a rule held fixed for one solve.  The kinetic
-energy uses the gradient form (1/2) int |grad psi|^2, which is equivalent to
--psi Lap psi / 2 under the Dirichlet wall and avoids second derivatives of
-the cut-off factor.  All expectation values are taken with the density
-normalized on the quadrature grid.
+psi = f(rho) exp(-alpha r), so every integral the energy and the
+observables need is a sum over the radial nodes of f, f' and a few per-row
+moments of exp(-2 alpha r) on a ``FixedRule``.  ``energy`` and
+``observables`` take them on the rule adapted to their parameters, and
+``energy_gradient`` on a rule held fixed for one solve.  No 2-D field of psi
+is formed; ``trialfn.evaluate`` serves as the tests' node-by-node oracle.
+The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
+equivalent to -psi Lap psi / 2 under the Dirichlet wall and avoids second
+derivatives of the cut-off factor.  All expectation values are taken with
+the density normalized on the quadrature grid.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, cylinder_grid
 from .specfun import landau_cylinder_energy
-from .trialfn import SystemConfig, TrialParams, check_admissible, evaluate
+from .trialfn import SystemConfig, TrialParams, check_admissible
+# perfbench/tracing.py patches this name; nothing in the package calls it.
+from .trialfn import evaluate  # noqa: F401
 
 __all__ = [
     "EnergyBreakdown",
@@ -76,7 +80,7 @@ def adapted_spec(spec: QuadratureSpec, params: TrialParams,
 @dataclass(frozen=True)
 class FixedRule:
     """A quadrature rule with its parameter-free arrays, held fixed for one
-    solve or built for one ``energy``.
+    solve or built for one ``energy`` or ``observables`` call.
 
     psi = f(rho) h with h = exp(-alpha*r), so every integral the energy
     needs is a sum over the radial nodes of f, f' and the per-row moments
@@ -86,6 +90,7 @@ class FixedRule:
     """
 
     rho: np.ndarray       # radial nodes
+    z: np.ndarray         # axial nodes, all positive
     x: np.ndarray | None  # rho/rho0 at finite rho0
     ln_x: np.ndarray | None
     zeeman: np.ndarray    # B^2 rho^2 / 8 on the radial nodes
@@ -103,7 +108,8 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
     if cfg.coulomb_on:
         columns.append(W / r)
     x = None if math.isinf(cfg.rho0) else rho / cfg.rho0
-    return FixedRule(rho=rho, x=x, ln_x=None if x is None else np.log(x),
+    return FixedRule(rho=rho, z=Z[0], x=x,
+                     ln_x=None if x is None else np.log(x),
                      zeeman=(cfg.B**2 / 8.0) * rho**2, r=r,
                      stack=np.stack(columns, axis=1))
 
@@ -150,10 +156,11 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
 def _moments(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
              wrt: tuple[str, ...]):
     """The rule's moments m_c per radial node (an (n_rho, k) array, columns
-    as in ``stack``) at ``params.alpha``, and ``_radial_factor``."""
+    as in ``stack``) at ``params.alpha``, h^2 = exp(-2 alpha r) on the nodes,
+    and ``_radial_factor``."""
     h2 = np.exp(-2.0 * params.alpha * rule.r)
     m = np.matmul(rule.stack, h2[:, :, None])[:, :, 0]
-    return (m, *_radial_factor(params, cfg, rule, wrt))
+    return (m, h2, *_radial_factor(params, cfg, rule, wrt))
 
 
 def energy(params: TrialParams, cfg: SystemConfig,
@@ -167,7 +174,7 @@ def energy(params: TrialParams, cfg: SystemConfig,
     """
     check_admissible(asdict(params), cfg)
     rule = fixed_rule(params, cfg, spec)
-    m, f, df, _ = _moments(params, cfg, rule, ())
+    m, _, f, df, _ = _moments(params, cfg, rule, ())
     m1 = m[:, 0]
     f2 = f * f
     norm = float(f2 @ m1)
@@ -201,7 +208,7 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     alone.  One n_rho x n_z exp per call; the rest is O(n_rho).
     """
     a = params.alpha
-    m, f, df, derivs = _moments(params, cfg, rule, wrt)
+    m, _, f, df, derivs = _moments(params, cfg, rule, wrt)
     m1, m_rho, m_r = m[:, 0], m[:, 1], m[:, 2]
     f2 = f * f
     f_df = f * df
@@ -230,17 +237,34 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
 
 def observables(params: TrialParams, cfg: SystemConfig,
                 spec: QuadratureSpec) -> Observables:
-    """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp."""
-    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
-    psi2 = evaluate(params, cfg, R, Z).psi**2
-    norm = float(np.sum(W * psi2))
-    dens = psi2 / norm
+    """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp,
+    from radial moments on the rule ``energy`` builds at ``params``.
 
-    mean_rho = float(np.sum(W * dens * R))
-    mean_abs_z = float(np.sum(W * dens * np.abs(Z)))
-    # rho ln rho -> 0 at the wall; underflowed densities contribute 0.
-    ln_dens = np.where(dens > 0, np.log(np.where(dens > 0, dens, 1.0)), 0.0)
-    shannon_r = -float(np.sum(W * dens * ln_dens))
+    The density is f^2 h^2 / N with N = sum f^2 m_1, so <rho> = sum f^2 rho
+    m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = sum_j W_ij h^2_ij z_j,
+    and S = -<ln(f^2 h^2 / N)> = ln N - (2/N) sum f^2 ln f m_1
+    + (2 alpha/N) sum f^2 m_r.
+    """
+    rule = fixed_rule(params, cfg, spec)
+    m, h2, f, _, _ = _moments(params, cfg, rule, ())
+    m1, m_r = m[:, 0], m[:, 2]
+    m_abs_z = (rule.stack[:, 0] * h2) @ rule.z
+    f2 = f * f
+    norm = float(f2 @ m1)
+
+    # ln f = ln p - beta B rho^2 with p as in _radial_factor, never log(f):
+    # f underflows to 0 at outer nodes, where f^2 ln f -> 0.
+    if rule.x is None:
+        g = 0.0 if params.gamma is None else params.gamma
+        p = 1.0 + g**2 * rule.rho**2
+    else:
+        p = 1.0 - rule.x ** (params.nu - 1.0) * rule.x
+    ln_f = np.log(p) - params.beta * cfg.B * rule.rho**2
+
+    mean_rho = float(f2 @ (rule.rho * m1)) / norm
+    mean_abs_z = float(f2 @ m_abs_z) / norm
+    shannon_r = (math.log(norm) - 2.0 * float((f2 * ln_f) @ m1) / norm
+                 + 2.0 * params.alpha * float(f2 @ m_r) / norm)
     return Observables(mean_rho=mean_rho,
                        mean_abs_z=mean_abs_z,
                        aspect_ratio=mean_rho / (2.0 * mean_abs_z),

@@ -60,7 +60,8 @@ def _lowest_eigenvalue(B: float, rho0: float, grid: RadialGrid,
     # Dirichlet wall at the last face: one-sided gradient over h/2.
     diag[-1] = (faces[-2] + 2.0 * faces[-1]) / (2.0 * rho[-1] * h * h) + v[-1]
     off = -faces[1:-1] / (2.0 * h * h * np.sqrt(rho[:-1] * rho[1:]))
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, 0))
     return float(vals[0])
 
 

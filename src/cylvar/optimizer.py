@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -111,14 +112,20 @@ class OptimizeRequest:
         return [max(self.cfg.B, _MIN_BETA_SCALE) if name == "beta" else 1.0
                 for name in self.free_params]
 
+    @cached_property
+    def _layout(self) -> tuple[dict, tuple[tuple[str, float], ...]]:
+        """The fixed values of every parameter that is not free (gamma None
+        when unset), and (name, scale) of each free one: resolved once, since
+        ``build_params`` runs on every objective evaluation."""
+        fixed = {name: self.fixed_values.get(name) for name in _PARAM_NAMES
+                 if name not in self.free_params}
+        return fixed, tuple(zip(self.free_params, self.scales()))
+
     def build_params(self, x: Sequence[float]) -> TrialParams:
         """Trial state at solver coordinates ``x``."""
-        vals = dict(self.fixed_values)
-        vals.update((name, v / s) for name, v, s
-                    in zip(self.free_params, x, self.scales()))
-        gamma = vals.get("gamma")
-        return TrialParams(alpha=vals["alpha"], beta=vals["beta"],
-                           nu=vals["nu"], gamma=gamma)
+        fixed, free = self._layout
+        return TrialParams(**fixed, **{name: v / s for (name, s), v
+                                       in zip(free, x)})
 
     def start_vector(self, start: TrialParams) -> list[float]:
         """Solver coordinates of ``start``."""

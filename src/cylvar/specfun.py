@@ -47,7 +47,7 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
         raise ValueError(
             f"z = B*rho0^2/2 = {z:.6g} exceeds {Z_MAX:g}: E0 equals B/2 to "
             "double precision there, but lifting the cap waits for a graded "
-            "radial quadrature rule (ROADMAP item 3)")
+            "radial quadrature rule")
 
     def g(e0: float) -> float:
         return kummer_m(-(e0 / B - 0.5), 1.0, z)

@@ -7,8 +7,10 @@ The confined ansatz (ground state, m = 0, p = 0) is
 
 which vanishes on the cylinder wall.  For rho0 = inf the cut-off factor is
 replaced by the polynomial prefactor (1 + gamma^2 rho^2).  Amplitudes are
-real; the analytic first derivatives give the gradient-form kinetic energy
-node by node, an independent check of the moment form in ``hamiltonian``.
+real.  ``evaluate`` gives psi and its analytic first derivatives node by
+node; no program path calls it.  It is the tests' independent check of the
+moment form in ``hamiltonian``: the gradient-form kinetic energy, the other
+energy terms and the observables as 2-D sums over the grid.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cylvar import optimizer
+from cylvar import cli, optimizer
 from cylvar.cli import build_parser, main, _parse_rho0
 from cylvar.records import CSV_HEADER, read_csv, read_json
 from cylvar.specfun import Z_MAX
@@ -184,6 +184,57 @@ def test_flag_then_config_then_env_then_default(monkeypatch):
     assert args.B_list == [0.0] and args.out == "scan.csv"
     args = build_parser({}).parse_args(["scan"])
     assert (args.nodes, args.jobs) == (64, 3)
+
+
+PINNED = ["energy", "--B", "0", "--rho0", "2", "--alpha", "1.1058",
+          "--beta", "0", "--nu", "3.4951", "--nodes", "32"]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    monkeypatch.delenv("CYLVAR_JOBS", raising=False)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return build_parser(*args)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    first = run(PINNED, capsys)
+    assert run(PINNED, capsys) == first
+    assert first[0] == 0
+    assert calls == 1
+
+
+def test_main_honours_a_jobs_env_change(monkeypatch, capsys):
+    seen = []
+
+    def scan(grid, spec, jobs):
+        seen.append(jobs)
+        raise RuntimeError("scan stopped")
+
+    monkeypatch.setattr(optimizer, "scan", scan)
+    for env in ("3", "2", None):
+        if env is None:
+            monkeypatch.delenv("CYLVAR_JOBS")
+        else:
+            monkeypatch.setenv("CYLVAR_JOBS", env)
+        assert run(["scan"], capsys)[0] == 1
+    assert seen == [3, 2, 1]
+
+
+def test_config_call_between_plain_calls(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": 1.0, "nu": 2.0, "nodes": 48}))
+    plain = run(PINNED, capsys)
+    code, out, _ = run(["energy", "--config", str(path), "--B", "0",
+                        "--rho0", "2", "--beta", "0"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert (float(row[3]), float(row[5])) == (1.0, 2.0)
+    assert row != plain[1].strip().splitlines()[1].split(",")
+    assert run(PINNED, capsys) == plain
 
 
 def test_only_scan_writes_a_file_by_default(tmp_path, monkeypatch, capsys):

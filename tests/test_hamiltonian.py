@@ -166,6 +166,27 @@ def test_energy_terms_match_grid_rayleigh_quotient(params, cfg, wrt):
         assert getattr(br, name) == pytest.approx(ref, rel=1e-12), name
 
 
+def grid_observables(params, cfg, spec):
+    """<rho>, <|z|> and the Shannon entropy as 2-D sums of the density
+    psi^2 / N over the grid ``observables`` uses, node by node."""
+    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
+    psi2 = evaluate(params, cfg, R, Z).psi**2
+    dens = psi2 / np.sum(W * psi2)
+    # rho ln rho -> 0 at the wall; underflowed densities contribute 0.
+    ln_dens = np.where(dens > 0, np.log(np.where(dens > 0, dens, 1.0)), 0.0)
+    return dict(mean_rho=np.sum(W * dens * R),
+                mean_abs_z=np.sum(W * dens * np.abs(Z)),
+                shannon_r=-np.sum(W * dens * ln_dens))
+
+
+@pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
+def test_observables_match_grid_sums(params, cfg, wrt):
+    obs = observables(params, cfg, SPEC)
+    for name, ref in grid_observables(params, cfg, SPEC).items():
+        assert getattr(obs, name) == pytest.approx(ref, rel=1e-12), name
+    assert obs.aspect_ratio == obs.mean_rho / (2.0 * obs.mean_abs_z)
+
+
 def test_observables_free_atom():
     obs = observables(EXACT_1S, FREE_H, SPEC)
     assert obs.mean_rho == pytest.approx(3.0 * math.pi / 8.0, abs=1e-9)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cylvar import hamiltonian, optimizer
 from cylvar.optimizer import (DEFAULT_STARTS, INF_STARTS, OptimizeRequest,
                               OptimizeResult, _select_best, default_request,
-                              minimize, scan)
+                              minimize, point_record, scan)
 from cylvar.quadrature import QuadratureSpec
 from cylvar.records import format_row
 from cylvar.trialfn import SystemConfig, TrialParams, check_admissible
@@ -205,6 +205,22 @@ def test_all_fixed_degenerates_to_single_evaluation(monkeypatch):
     assert res.converged
     direct = hamiltonian.energy(TrialParams(**fixed), cfg, SPEC)
     assert res.energy.total == direct.total
+
+
+@pytest.mark.parametrize("cfg,fixed", [
+    (SystemConfig(B=0.0, rho0=2.0), {}),
+    (SystemConfig(B=0.5, rho0=2.0), {"alpha": 1.1, "beta": 0.1, "nu": 2.5}),
+    (SystemConfig(B=0.5, rho0=math.inf), {}),
+])
+def test_point_record_forms_no_2d_field_of_psi(cfg, fixed, monkeypatch):
+    # The energy, its gradient and the observables all come from radial
+    # moments; trialfn.evaluate is the tests' oracle only.
+    def evaluate(*args):
+        raise RuntimeError("hamiltonian.evaluate was called")
+
+    monkeypatch.setattr(hamiltonian, "evaluate", evaluate)
+    rec = point_record(cfg, QuadratureSpec(32, 32), fixed=fixed)
+    assert math.isfinite(rec.E) and math.isfinite(rec.shannon_r)
 
 
 def test_unconfined_zero_field_reaches_free_atom():
