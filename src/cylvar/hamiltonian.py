@@ -116,8 +116,9 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
 
 def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
-    """f = p(rho) exp(-beta*B*rho^2) and f' on the radial nodes, with
-    (df/dtheta, df'/dtheta) for each theta in ``wrt`` other than alpha."""
+    """The prefactor p(rho), f = p exp(-beta*B*rho^2) and f' on the radial
+    nodes, with (df/dtheta, df'/dtheta) for each theta in ``wrt`` other than
+    alpha."""
     rho = rule.rho
     B = cfg.B
     gauss = np.exp(-params.beta * B * rho**2)
@@ -150,7 +151,7 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
             derivs.append(prefactor_term(2.0 * g * rho**2, 4.0 * g * rho))
         else:
             raise ValueError(f"unknown parameter name: {name!r}")
-    return f, df, derivs
+    return p, f, df, derivs
 
 
 def _moments(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
@@ -174,7 +175,7 @@ def energy(params: TrialParams, cfg: SystemConfig,
     """
     check_admissible(asdict(params), cfg)
     rule = fixed_rule(params, cfg, spec)
-    m, _, f, df, _ = _moments(params, cfg, rule, ())
+    m, _, _, f, df, _ = _moments(params, cfg, rule, ())
     m1 = m[:, 0]
     f2 = f * f
     norm = float(f2 @ m1)
@@ -208,7 +209,7 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     alone.  One n_rho x n_z exp per call; the rest is O(n_rho).
     """
     a = params.alpha
-    m, _, f, df, derivs = _moments(params, cfg, rule, wrt)
+    m, _, _, f, df, derivs = _moments(params, cfg, rule, wrt)
     m1, m_rho, m_r = m[:, 0], m[:, 1], m[:, 2]
     f2 = f * f
     f_df = f * df
@@ -246,19 +247,14 @@ def observables(params: TrialParams, cfg: SystemConfig,
     + (2 alpha/N) sum f^2 m_r.
     """
     rule = fixed_rule(params, cfg, spec)
-    m, h2, f, _, _ = _moments(params, cfg, rule, ())
+    m, h2, p, f, _, _ = _moments(params, cfg, rule, ())
     m1, m_r = m[:, 0], m[:, 2]
     m_abs_z = (rule.stack[:, 0] * h2) @ rule.z
     f2 = f * f
     norm = float(f2 @ m1)
 
-    # ln f = ln p - beta B rho^2 with p as in _radial_factor, never log(f):
-    # f underflows to 0 at outer nodes, where f^2 ln f -> 0.
-    if rule.x is None:
-        g = 0.0 if params.gamma is None else params.gamma
-        p = 1.0 + g**2 * rule.rho**2
-    else:
-        p = 1.0 - rule.x ** (params.nu - 1.0) * rule.x
+    # ln f = ln p - beta B rho^2, never log(f): f underflows to 0 at outer
+    # nodes, where f^2 ln f -> 0.
     ln_f = np.log(p) - params.beta * cfg.B * rule.rho**2
 
     mean_rho = float(f2 @ (rule.rho * m1)) / norm

@@ -190,14 +190,17 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
                                               rule, req.free_params)
         return e, grad / scales
 
-    res = scipy.optimize.minimize(
-        objective, x0, jac=True, method="L-BFGS-B",
-        bounds=[(lo, None) for lo in lows],
-        options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=_MAX_EVALS))
-    evals, converged = res.nfev, bool(res.success)
-    if res.status == _LINE_SEARCH_FAILED:
-        converged = _stalled_at_minimum(objective, res)
-        evals += len(res.x)
+    # Trial points with a huge |beta B| overflow exp and f^2 on the way to
+    # a finite optimum; the reported energy below is checked as usual.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = scipy.optimize.minimize(
+            objective, x0, jac=True, method="L-BFGS-B",
+            bounds=[(lo, None) for lo in lows],
+            options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=_MAX_EVALS))
+        evals, converged = res.nfev, bool(res.success)
+        if res.status == _LINE_SEARCH_FAILED:
+            converged = _stalled_at_minimum(objective, res)
+            evals += len(res.x)
     params = req.build_params(res.x)
     result = OptimizeResult(params=params,
                             energy=hamiltonian.energy(params, req.cfg, spec),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -154,6 +155,18 @@ def test_verify_appendix(capsys):
     assert code == 0
     assert "all rows verified" in out
     assert out.count("ok") >= 14
+
+
+def test_coulomb_off_solve_prints_no_warnings(capsys):
+    # L-BFGS-B tries points with a huge |beta B|, where exp and f^2 overflow.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["energy", "--coulomb", "off", "--B", "0.001",
+                              "--rho0", "20"], capsys)
+    assert code == 0
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+    assert out.splitlines()[1].startswith("0.001,20,")
 
 
 def test_entropy_writes_optional_file(tmp_path, capsys):
