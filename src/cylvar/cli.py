@@ -49,7 +49,7 @@ def _rho0_list(text: str) -> list[float]:
 
 
 def _spec_from(args) -> QuadratureSpec:
-    return QuadratureSpec(n_rho=args.nodes, n_z=args.nodes)
+    return QuadratureSpec(n_rho=args.nodes)
 
 
 def _cfg_from(args, B: float | None = None,
@@ -171,7 +171,7 @@ def cmd_verify_appendix(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--nodes", type=int, default=64,
-                   help="quadrature nodes per direction (default 64)")
+                   help="radial quadrature nodes (default 64)")
     p.add_argument("--coulomb", choices=_CHOICES["coulomb"], default="on")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any flag")

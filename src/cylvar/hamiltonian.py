@@ -1,11 +1,13 @@
 """Rayleigh quotient, term breakdown and derived observables.
 
-psi = f(rho) exp(-alpha r), so every integral the energy and the
-observables need is a sum over the radial nodes of f, f' and a few per-row
-moments of exp(-2 alpha r) on a ``FixedRule``.  ``energy`` and
-``observables`` take them on the rule adapted to their parameters, and
-``energy_gradient`` on a rule held fixed for one solve.  No 2-D field of psi
-is formed; ``trialfn.evaluate`` serves as the tests' node-by-node oracle.
+psi = f(rho) exp(-alpha r), so the z integral of every term is a modified
+Bessel function of 2 alpha rho in closed form, and every integral the energy
+and the observables need is a sum over the radial nodes of a ``FixedRule``
+of f, f' and a few such moments of exp(-2 alpha r).  ``energy`` and
+``observables`` take them on a given rule or on the rule built at their
+parameters, and ``energy_gradient`` on a rule held fixed for one point.  No
+2-D field of psi is formed; ``trialfn.evaluate`` serves as the tests'
+node-by-node oracle.
 The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
 equivalent to -psi Lap psi / 2 under the Dirichlet wall and avoids second
 derivatives of the cut-off factor.  All expectation values are taken with
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import k0, k1
 
 from .quadrature import QuadratureSpec, cylinder_grid
 from .specfun import landau_cylinder_energy
@@ -29,7 +32,6 @@ from .trialfn import evaluate  # noqa: F401
 __all__ = [
     "EnergyBreakdown",
     "Observables",
-    "adapted_spec",
     "energy",
     "FixedRule",
     "fixed_rule",
@@ -59,59 +61,63 @@ class Observables:
     cusp_Z: float
 
 
-def adapted_spec(spec: QuadratureSpec, params: TrialParams,
-                 cfg: SystemConfig) -> QuadratureSpec:
-    """Retarget the mapping scales to the current orbital extent.
+# A rule stops where exp(-2 alpha r - 2 beta B rho^2) falls below eps^4 of
+# its value at the nucleus: a solve's alpha may fall to a quarter of its
+# start's, or the prefactor grow as (1 + gamma^2 rho^2)^2 at rho0 = inf,
+# before the tail left out reaches the rounding of the sums.
+_LN_CUT = -4.0 * math.log(np.finfo(float).eps)
 
-    The axial scale follows the Coulomb decay 1/alpha.  Radially (rho0 =
-    inf only) the density extent is set by whichever of the Coulomb length
-    1/alpha and the magnetic length 2/sqrt(B) is *smaller*, since the
-    Gaussian always wins at large rho.
-    """
-    z_scale = 1.0 / params.alpha
-    rho_scale = spec.rho_scale
-    if math.isinf(cfg.rho0):
-        rho_scale = z_scale
-        if cfg.B > 0 and params.beta > 0:
-            rho_scale = min(rho_scale, 2.0 / math.sqrt(cfg.B))
-    return replace(spec, z_scale=z_scale, rho_scale=rho_scale)
+
+def _radial_extent(params: TrialParams, cfg: SystemConfig) -> float:
+    """The radius a rule built at ``params`` reaches: rho0, or the positive
+    root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is nearer.  No
+    such root bounds the density when beta B < 0."""
+    c = params.beta * cfg.B
+    if c < 0:
+        return cfg.rho0
+    return min(cfg.rho0, _LN_CUT / (params.alpha + math.hypot(
+        params.alpha, math.sqrt(2.0 * c * _LN_CUT))))
 
 
 @dataclass(frozen=True)
 class FixedRule:
-    """A quadrature rule with its parameter-free arrays, held fixed for one
-    solve or built for one ``energy`` or ``observables`` call.
+    """A radial quadrature rule with its parameter-free arrays, held fixed
+    for one point's solves, or built for one ``energy`` or ``observables``
+    call.
 
-    psi = f(rho) h with h = exp(-alpha*r), so every integral the energy
-    needs is a sum over the radial nodes of f, f' and the per-row moments
-    m_c(rho_i) = sum_j W_ij exp(-2 alpha r_ij) c_ij.  ``stack`` holds
-    W * c for c = 1, rho/r, r and, with the Coulomb term on, 1/r, as an
-    (n_rho, k, n_z) array.
+    The nodes lie on [0, rho_max], where rho_max is rho0 or, if nearer,
+    the radius beyond which the density at the parameters the rule was
+    built at is negligible (``_radial_extent``).
     """
 
     rho: np.ndarray       # radial nodes
-    z: np.ndarray         # axial nodes, all positive
+    rho2: np.ndarray      # rho^2
+    weight: np.ndarray    # 2 pi rho w_rho, times the 2 of z-parity
     x: np.ndarray | None  # rho/rho0 at finite rho0
     ln_x: np.ndarray | None
     zeeman: np.ndarray    # B^2 rho^2 / 8 on the radial nodes
-    r: np.ndarray         # (n_rho, n_z)
-    stack: np.ndarray
+    rho_max: float
 
 
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
                spec: QuadratureSpec) -> FixedRule:
     """The rule ``energy`` uses at ``params``, to hold fixed for a solve."""
-    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
-    rho = R[:, 0]
-    r = np.hypot(R, Z)
-    columns = [W, W * (R / r), W * r]
-    if cfg.coulomb_on:
-        columns.append(W / r)
+    rho_max = _radial_extent(params, cfg)
+    rho, weight = cylinder_grid(rho_max, spec)
     x = None if math.isinf(cfg.rho0) else rho / cfg.rho0
-    return FixedRule(rho=rho, z=Z[0], x=x,
+    rho2 = rho * rho
+    return FixedRule(rho=rho, rho2=rho2, weight=2.0 * weight, x=x,
                      ln_x=None if x is None else np.log(x),
-                     zeeman=(cfg.B**2 / 8.0) * rho**2, r=r,
-                     stack=np.stack(columns, axis=1))
+                     zeeman=(cfg.B**2 / 8.0) * rho2, rho_max=rho_max)
+
+
+def _rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
+              rule: FixedRule | None) -> FixedRule:
+    """``rule`` if given and it reaches as far as the density at ``params``,
+    else the rule built at ``params``."""
+    if rule is None or _radial_extent(params, cfg) > rule.rho_max:
+        return fixed_rule(params, cfg, spec)
+    return rule
 
 
 def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
@@ -121,14 +127,15 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     alpha."""
     rho = rule.rho
     B = cfg.B
-    gauss = np.exp(-params.beta * B * rho**2)
-    dlog = -2.0 * params.beta * B * rho
+    gauss = np.exp((-params.beta * B) * rule.rho2)
+    dlog = (-2.0 * params.beta * B) * rho
     if rule.x is None:
         g = 0.0 if params.gamma is None else params.gamma
-        p, dp = 1.0 + g**2 * rho**2, 2.0 * g**2 * rho
+        p, dp = 1.0 + g**2 * rule.rho2, (2.0 * g**2) * rho
     else:
         x_nu1 = rule.x ** (params.nu - 1.0)
-        p, dp = 1.0 - x_nu1 * rule.x, -(params.nu / cfg.rho0) * x_nu1
+        x_nu = x_nu1 * rule.x
+        p, dp = 1.0 - x_nu, (-params.nu / cfg.rho0) * x_nu1
     f = p * gauss
     df = (dp + p * dlog) * gauss
 
@@ -139,44 +146,48 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     derivs = []
     for name in wrt:
         if name == "alpha":
-            derivs.append(None)  # alpha enters through h alone
+            derivs.append(None)  # alpha enters through the moments alone
         elif name == "beta":
-            derivs.append((-B * rho**2 * f,
-                           -2.0 * B * rho * f - B * rho**2 * df))
+            derivs.append((-B * rule.rho2 * f,
+                           -2.0 * B * rho * f - B * rule.rho2 * df))
         elif name == "nu":
-            derivs.append(prefactor_term(
-                -x_nu1 * rule.x * rule.ln_x,
-                -(x_nu1 / cfg.rho0) * (params.nu * rule.ln_x + 1.0)))
+            derivs.append(prefactor_term(-x_nu * rule.ln_x,
+                                         dp * (rule.ln_x + 1.0 / params.nu)))
         elif name == "gamma":
-            derivs.append(prefactor_term(2.0 * g * rho**2, 4.0 * g * rho))
+            derivs.append(prefactor_term(2.0 * g * rule.rho2, 4.0 * g * rho))
         else:
             raise ValueError(f"unknown parameter name: {name!r}")
     return p, f, df, derivs
 
 
-def _moments(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
-             wrt: tuple[str, ...]):
-    """The rule's moments m_c per radial node (an (n_rho, k) array, columns
-    as in ``stack``) at ``params.alpha``, h^2 = exp(-2 alpha r) on the nodes,
-    and ``_radial_factor``."""
-    h2 = np.exp(-2.0 * params.alpha * rule.r)
-    m = np.matmul(rule.stack, h2[:, :, None])[:, :, 0]
-    return (m, h2, *_radial_factor(params, cfg, rule, wrt))
+def _moments(alpha: float, rule: FixedRule):
+    """The moments m_c = int c exp(-2 alpha r) dz over the whole z axis, times
+    the node weight, for c = 1, rho/r, r and 1/r.  With a = 2 alpha
+    (Gradshteyn-Ryzhik 3.961): m_1 = 2 rho K1(a rho), m_{rho/r} = 2 rho K0,
+    m_r = 2 (rho^2 K0 + rho K1 / a) and m_{1/r} = 2 K0.  K0 and K1 cannot
+    overflow at a rho > 0, and where they underflow so does the density."""
+    a = 2.0 * alpha
+    ar = a * rule.rho
+    m_inv_r = k0(ar) * rule.weight
+    m1 = rule.rho * (k1(ar) * rule.weight)
+    m_rho = rule.rho * m_inv_r
+    return m1, m_rho, rule.rho * m_rho + m1 / a, m_inv_r
 
 
-def energy(params: TrialParams, cfg: SystemConfig,
-           spec: QuadratureSpec) -> EnergyBreakdown:
+def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
+           rule: FixedRule | None = None) -> EnergyBreakdown:
     """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state: the
-    moment sums of ``energy_gradient`` on the rule adapted to ``params``.
+    moment sums of ``energy_gradient`` on ``rule`` when it reaches as far
+    as the density at ``params``, else on the rule built at ``params``.
 
     Raises ValueError for parameters outside the admissible set, and
     ArithmeticError for a norm that is not finite and positive or a total
     that is not finite.
     """
     check_admissible(asdict(params), cfg)
-    rule = fixed_rule(params, cfg, spec)
-    m, _, _, f, df, _ = _moments(params, cfg, rule, ())
-    m1 = m[:, 0]
+    rule = _rule_for(params, cfg, spec, rule)
+    m1, m_rho, _, m_inv_r = _moments(params.alpha, rule)
+    _, f, df, _ = _radial_factor(params, cfg, rule, ())
     f2 = f * f
     norm = float(f2 @ m1)
     if not (math.isfinite(norm) and norm > 0):
@@ -185,8 +196,8 @@ def energy(params: TrialParams, cfg: SystemConfig,
 
     a = params.alpha
     kinetic = float(0.5 * ((df * df + a * a * f2) @ m1)
-                    - a * ((f * df) @ m[:, 1])) / norm
-    coulomb = -float(f2 @ m[:, 3]) / norm if cfg.coulomb_on else 0.0
+                    - a * ((f * df) @ m_rho)) / norm
+    coulomb = -float(f2 @ m_inv_r) / norm if cfg.coulomb_on else 0.0
     zeeman_quadratic = float(f2 @ (rule.zeeman * m1)) / norm
     total = kinetic + coulomb + zeeman_quadratic
     if not math.isfinite(total):
@@ -200,23 +211,23 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                     wrt: tuple[str, ...]) -> tuple[float, np.ndarray]:
     """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in ``wrt``.
 
-    |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2], so
-    N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1 - 2 alpha sum f f'
-    m_{rho/r}, V = sum f^2 (B^2 rho^2/8 m_1 - m_{1/r}) and E = (K/2 + V)/N,
-    exact for the rule's nodes and weights.  Besides the explicit alpha in
-    K, d/dalpha acts on the moments alone (dm_1 = -2 m_r, dm_{rho/r} =
-    -2 rho m_1, dm_{1/r} = -2 m_1), and the other parameters act on f and f'
-    alone.  One n_rho x n_z exp per call; the rest is O(n_rho).
+    |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2] with
+    h = exp(-alpha r), so N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1
+    - 2 alpha sum f f' m_{rho/r}, V = sum f^2 (B^2 rho^2/8 m_1 - m_{1/r})
+    and E = (K/2 + V)/N, exact for the rule's nodes and weights.  Besides
+    the explicit alpha in K, d/dalpha acts on the moments alone (dm_1 =
+    -2 m_r, dm_{rho/r} = -2 rho m_1, dm_{1/r} = -2 m_1), and the other
+    parameters act on f and f' alone.  Everything is O(n_rho).
     """
     a = params.alpha
-    m, _, _, f, df, derivs = _moments(params, cfg, rule, wrt)
-    m1, m_rho, m_r = m[:, 0], m[:, 1], m[:, 2]
+    m1, m_rho, m_r, m_inv_r = _moments(a, rule)
+    _, f, df, derivs = _radial_factor(params, cfg, rule, wrt)
     f2 = f * f
     f_df = f * df
     grad2 = df * df + a * a * f2
     u = rule.zeeman * m1
     if cfg.coulomb_on:
-        u = u - m[:, 3]
+        u = u - m_inv_r
     norm = f2 @ m1
     e = (0.5 * (grad2 @ m1) - a * (f_df @ m_rho) + f2 @ u) / norm
     # N dE/df and N dE/df' at each radial node.
@@ -236,26 +247,27 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     return float(e), np.array(grad) / norm
 
 
-def observables(params: TrialParams, cfg: SystemConfig,
-                spec: QuadratureSpec) -> Observables:
+def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
+                rule: FixedRule | None = None) -> Observables:
     """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp,
-    from radial moments on the rule ``energy`` builds at ``params``.
+    from radial moments on the rule ``energy`` would take.
 
     The density is f^2 h^2 / N with N = sum f^2 m_1, so <rho> = sum f^2 rho
-    m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = sum_j W_ij h^2_ij z_j,
-    and S = -<ln(f^2 h^2 / N)> = ln N - (2/N) sum f^2 ln f m_1
-    + (2 alpha/N) sum f^2 m_r.
+    m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = int |z| h^2 dz =
+    2 exp(-a rho) (rho/a + 1/a^2), a = 2 alpha, and S = -<ln(f^2 h^2 / N)>
+    = ln N - (2/N) sum f^2 ln f m_1 + (2 alpha/N) sum f^2 m_r.
     """
-    rule = fixed_rule(params, cfg, spec)
-    m, h2, p, f, _, _ = _moments(params, cfg, rule, ())
-    m1, m_r = m[:, 0], m[:, 2]
-    m_abs_z = (rule.stack[:, 0] * h2) @ rule.z
+    rule = _rule_for(params, cfg, spec, rule)
+    m1, _, m_r, _ = _moments(params.alpha, rule)
+    p, f, _, _ = _radial_factor(params, cfg, rule, ())
+    a = 2.0 * params.alpha
+    m_abs_z = rule.weight * np.exp(-a * rule.rho) * (rule.rho / a + 1.0 / a**2)
     f2 = f * f
     norm = float(f2 @ m1)
 
     # ln f = ln p - beta B rho^2, never log(f): f underflows to 0 at outer
     # nodes, where f^2 ln f -> 0.
-    ln_f = np.log(p) - params.beta * cfg.B * rule.rho**2
+    ln_f = np.log(p) - params.beta * cfg.B * rule.rho2
 
     mean_rho = float(f2 @ (rule.rho * m1)) / norm
     mean_abs_z = float(f2 @ m_abs_z) / norm

@@ -1,10 +1,10 @@
 """Gradient-based minimization of the Rayleigh quotient.
 
 Bounded L-BFGS-B over the selected free parameters, on the analytic energy
-gradient of a quadrature rule held fixed for each solve.  Each point is one
-solve per basin of the energy (two when beta and nu are both free, else
-one), each from its own start; the other starts run only when one of those
-solves ends unconverged or on a bound.  Bounds taken from
+gradient of one radial quadrature rule held fixed for each point.  Each point
+is one solve per basin of the energy (two when beta and nu are both free,
+else one), each from its own start; the other starts run only when one of
+those solves ends unconverged or on a bound.  Bounds taken from
 ``trialfn.admissible_bounds`` keep every proposal admissible.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Mapping, Sequence
 
@@ -150,6 +150,9 @@ class OptimizeResult:
     evals: int
     converged: bool
     start_index: int
+    # The rule the solves ran on, for the observables at the optimum.
+    rule: hamiltonian.FixedRule | None = field(default=None, compare=False,
+                                               repr=False)
 
 
 def _stalled_at_minimum(objective, res) -> bool:
@@ -171,18 +174,13 @@ def _stalled_at_minimum(objective, res) -> bool:
 
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
                       start_index: int,
-                      rules: dict) -> tuple[OptimizeResult, bool]:
-    """One L-BFGS-B solve on the rule adapted to the start, and whether it
-    ended with a free parameter on its lower bound.  ``rules`` maps each
-    adapted spec to its rule, so starts that adapt alike share one."""
+                      rule: hamiltonian.FixedRule
+                      ) -> tuple[OptimizeResult, bool]:
+    """One L-BFGS-B solve on ``rule``, and whether it ended with a free
+    parameter on its lower bound."""
     lows = req.lower_bounds()
     x0 = [v if lo is None else max(v, lo) for v, lo in
           zip(req.start_vector(req.starts[start_index]), lows)]
-    start = req.build_params(x0)
-    key = hamiltonian.adapted_spec(spec, start, req.cfg)
-    if key not in rules:
-        rules[key] = hamiltonian.fixed_rule(start, req.cfg, spec)
-    rule = rules[key]
     scales = np.array(req.scales())
 
     def objective(x):
@@ -202,10 +200,9 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
             converged = _stalled_at_minimum(objective, res)
             evals += len(res.x)
     params = req.build_params(res.x)
-    result = OptimizeResult(params=params,
-                            energy=hamiltonian.energy(params, req.cfg, spec),
-                            evals=evals, converged=converged,
-                            start_index=start_index)
+    result = OptimizeResult(
+        params=params, energy=hamiltonian.energy(params, req.cfg, spec, rule),
+        evals=evals, converged=converged, start_index=start_index, rule=rule)
     return result, any(lo is not None and v <= lo
                        for v, lo in zip(res.x, lows))
 
@@ -235,21 +232,26 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
     ``evals`` counts objective evaluations over every start run; a request
     with no free parameter is one energy evaluation.
     """
+    # One rule for every solve.  It depends on the first start only through
+    # the radius beyond which that start's density is negligible, which
+    # ``energy`` checks at each optimum.
+    rule = hamiltonian.fixed_rule(
+        req.build_params(req.start_vector(req.starts[0])), req.cfg, spec)
     if not req.free_params:
         params = req.build_params(())
-        return OptimizeResult(params=params,
-                              energy=hamiltonian.energy(params, req.cfg, spec),
-                              evals=1, converged=True, start_index=0)
+        return OptimizeResult(
+            params=params, energy=hamiltonian.energy(params, req.cfg, spec,
+                                                     rule),
+            evals=1, converged=True, start_index=0, rule=rule)
     n = min(_basins(req), len(req.starts))
-    rules = {}
-    runs = [_run_single_start(req, spec, i, rules) for i in range(n)]
+    runs = [_run_single_start(req, spec, i, rule) for i in range(n)]
     candidates = [result for result, _ in runs]
     if all(result.converged and not on_bound for result, on_bound in runs):
         # Basin solves that end at one optimum tie to rounding.
         e_min = min(c.energy.total for c in candidates)
         tol = _ROUNDING_DECREASE * max(abs(e_min), 1.0)
     else:
-        candidates += [_run_single_start(req, spec, i, rules)[0]
+        candidates += [_run_single_start(req, spec, i, rule)[0]
                        for i in range(n, len(req.starts))]
         tol = req.tol_energy
     best = _select_best(candidates, tol)
@@ -283,12 +285,13 @@ def point_record(cfg: SystemConfig, spec: QuadratureSpec,
                  fixed: Mapping[str, float] | None = None) -> ScanRecord:
     """Output row for one config under ``default_request(cfg, fixed)``.
 
-    The reference energy comes first, since it refuses some inputs
-    outright; then ``minimize``, then the observables at the optimum.
+    The reference energy comes first, so that an input whose E0 cannot be
+    computed fails before any solve; then ``minimize``, then the
+    observables at the optimum on the rule its solves ran on.
     """
     e0 = hamiltonian.reference_energy(cfg)
     result = minimize(default_request(cfg, fixed), spec)
-    obs = hamiltonian.observables(result.params, cfg, spec)
+    obs = hamiltonian.observables(result.params, cfg, spec, result.rule)
     e = result.energy.total
     return ScanRecord(B=cfg.B, rho0=cfg.rho0, E=e,
                       alpha=result.params.alpha, beta=result.params.beta,

@@ -17,13 +17,9 @@ from scipy.optimize import brentq
 from scipy.special import hyp1f1 as kummer_m
 from scipy.special import jn_zeros
 
-__all__ = ["kummer_m", "landau_cylinder_energy", "J01", "Z_MAX"]
+__all__ = ["kummer_m", "landau_cylinder_energy", "J01"]
 
 J01 = float(jn_zeros(0, 1)[0])  # first positive zero of J0
-
-# Largest z = B*rho0^2/2 served.  E0 is B/2 to double precision well below
-# it, but the energies at such radii would come from an ungraded radial rule.
-Z_MAX = 1500.0
 
 _B_BESSEL_LIMIT = 1e-6
 
@@ -34,7 +30,7 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
     Delegates to the Bessel drum limit for B <= 1e-6.  Otherwise the root
     lies in [max(B/2, drum), B/2 + drum] with drum = j01^2 / (2 rho0^2), and
     the Kummer function changes sign only once there.  Raises ValueError
-    for rho0 = inf and for z = B*rho0^2/2 above ``Z_MAX``.
+    for rho0 = inf.
     """
     if math.isinf(rho0):
         raise ValueError("rho0 must be finite")
@@ -43,12 +39,6 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
         return drum
 
     z = 0.5 * B * rho0**2
-    if z > Z_MAX:
-        raise ValueError(
-            f"z = B*rho0^2/2 = {z:.6g} exceeds {Z_MAX:g}: E0 equals B/2 to "
-            "double precision there, but lifting the cap waits for a graded "
-            "radial quadrature rule")
-
     def g(e0: float) -> float:
         return kummer_m(-(e0 / B - 0.5), 1.0, z)
 

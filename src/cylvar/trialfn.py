@@ -10,7 +10,7 @@ replaced by the polynomial prefactor (1 + gamma^2 rho^2).  Amplitudes are
 real.  ``evaluate`` gives psi and its analytic first derivatives node by
 node; no program path calls it.  It is the tests' independent check of the
 moment form in ``hamiltonian``: the gradient-form kinetic energy, the other
-energy terms and the observables as 2-D sums over the grid.
+energy terms and the observables as 2-D sums over a graded tensor grid.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ from cylvar.specfun import J01, kummer_m, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams, evaluate
 
 import numpy as np
+from scipy.special import k0, k1
 
-SPEC = QuadratureSpec(96, 96)
+SPEC = QuadratureSpec(96)
 
 # Target table at B = 0: (rho0, E, alpha, nu)
 B0_TABLE = [
@@ -286,13 +287,14 @@ def test_criterion_10_algebraic_table():
 
 def test_criterion_11_property_suite(tmp_path):
     failures = []
-    R, Z, W = cylinder_grid(math.inf, SPEC)
-    r = np.hypot(R, Z)
-    norm = float(np.sum(W * np.exp(-2.0 * r)))
+    # The radial rule on the 1s density, whose z integrals are 2 rho K1(2 rho)
+    # and, over r, 2 K0(2 rho); beyond rho = 40 it is below exp(-80).
+    rho, w = cylinder_grid(40.0, SPEC)
+    norm = float(np.sum(w * 2.0 * rho * k1(2.0 * rho)))
     _check(failures, abs(norm - math.pi) <= 1e-10,
            f"1s norm {norm!r} != pi")
-    inv_r = float(np.sum(W * np.exp(-2.0 * r) / r)) / norm
-    _check(failures, abs(inv_r - 1.0) <= 1e-5, f"<1/r> = {inv_r!r} != 1")
+    inv_r = float(np.sum(w * 2.0 * k0(2.0 * rho))) / norm
+    _check(failures, abs(inv_r - 1.0) <= 1e-10, f"<1/r> = {inv_r!r} != 1")
 
     rng = np.random.default_rng(3)
     params = TrialParams(alpha=1.05, beta=0.12, nu=2.8)

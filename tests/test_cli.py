@@ -7,7 +7,6 @@ import pytest
 from cylvar import cli, optimizer
 from cylvar.cli import build_parser, main, _parse_rho0
 from cylvar.records import CSV_HEADER, read_csv, read_json
-from cylvar.specfun import Z_MAX
 
 
 def run(argv, capsys):
@@ -58,11 +57,20 @@ def test_numeric_failure_exits_1(capsys):
                         "--nodes", "4"], capsys)
     assert code == 1
     assert "error" in err
-    # z = B rho0^2 / 2 = 1800 lies above the Kummer root's cap
-    code, _, err = run(["binding", "--B", "1", "--rho0", "60",
+    # the confinement energy j01^2 / (2 rho0^2) overflows a double
+    code, _, err = run(["binding", "--B", "1", "--rho0", "1e-200",
                         "--alpha", "1", "--beta", "0.1", "--nu", "2"], capsys)
     assert code == 1
-    assert "E0 equals B/2 to double precision" in err
+    assert "error" in err
+
+
+def test_wide_cavity_binding_is_served(capsys):
+    # z = B rho0^2 / 2 = 1800: E0 is the Landau level B/2 to double
+    # precision, and the radial rule stops where the density underflows.
+    code, out, _ = run(["binding", "--B", "1", "--rho0", "60",
+                        "--alpha", "1", "--beta", "0.1", "--nu", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "E0 = 0.5"
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -85,11 +93,11 @@ def test_refused_request_exits_before_optimizing(monkeypatch, capsys):
         raise RuntimeError("minimize was called")
 
     monkeypatch.setattr(optimizer, "minimize", minimize)
-    # z = B rho0^2 / 2 = 1800 lies above the Kummer root's cap
-    code, _, err = run(["binding", "--B", "1", "--rho0", "60"], capsys)
+    # a pinned value outside the admissible set is refused by the request
+    code, _, err = run(["binding", "--B", "1", "--rho0", "60", "--nu", "0.5"],
+                       capsys)
     assert code == 1
-    assert f"exceeds {Z_MAX:g}" in err
-    assert "E0 equals B/2 to double precision" in err
+    assert err.startswith("cylvar: error: nu = 0.5 is not admissible")
 
 
 def test_scan_csv_and_json_agree(tmp_path, capsys):

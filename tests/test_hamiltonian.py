@@ -4,16 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st, target
+from hypothesis import given, settings, strategies as st, target
 
-from cylvar.hamiltonian import (adapted_spec, binding_energy, energy,
-                                energy_gradient, fit_large_rho0_tail,
-                                fixed_rule, observables, reference_energy)
-from cylvar.quadrature import QuadratureSpec, cylinder_grid
-from cylvar.specfun import J01, Z_MAX, landau_cylinder_energy
+from cylvar.hamiltonian import (binding_energy, energy, energy_gradient,
+                                fit_large_rho0_tail, fixed_rule, observables,
+                                reference_energy)
+from cylvar.quadrature import QuadratureSpec
+from cylvar.specfun import J01, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams, evaluate
 
-SPEC = QuadratureSpec(64, 64)
+SPEC = QuadratureSpec(64)
 FREE_H = SystemConfig(B=0.0, rho0=math.inf)
 EXACT_1S = TrialParams(alpha=1.0, beta=0.0, gamma=0.0)
 
@@ -72,7 +72,6 @@ def coulomb_off_states(draw):
     B = 0, as ``default_request`` pins it."""
     B = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     rho0 = draw(st.floats(0.5, 30.0))
-    assume(0.5 * B * rho0**2 <= Z_MAX)
     params = TrialParams(alpha=math.exp(draw(st.floats(-6.0, 1.5))),
                          beta=draw(st.floats(-0.3, 0.6)) if B > 0 else 0.0,
                          nu=draw(st.floats(1.0, 40.0)))
@@ -142,11 +141,31 @@ def test_energy_gradient_matches_central_differences(params, cfg, wrt):
     np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
-def grid_rayleigh_quotient(params, cfg, spec):
-    """The energy terms as 2-D sums of psi and its partials over the grid
-    ``energy`` uses: the kinetic term from |grad psi|^2 node by node, with
-    none of the radial-moment algebra."""
-    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
+def graded_grid(params, cfg, n=400):
+    """An independent oracle rule: a 2-D tensor Gauss-Legendre rule in
+    (rho, z >= 0), doubled by parity, graded by t^4 towards the axis and the
+    nucleus in both directions (rho = rho0 t^4, or s t^4 / (1 - t) on the
+    half line, s = 2/alpha).  Its values at 200^2 and 400^2 nodes agree to
+    5e-13 relative or better on every quantity of GRADIENT_STATES."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, dt = 0.5 * (x + 1.0), 0.5 * w
+    s = 2.0 / params.alpha
+    half_line = (s * t**4 / (1.0 - t),
+                 s * t**3 * (4.0 - 3.0 * t) / (1.0 - t)**2 * dt)
+    if math.isinf(cfg.rho0):
+        rho, drho = half_line
+    else:
+        rho, drho = cfg.rho0 * t**4, 4.0 * cfg.rho0 * t**3 * dt
+    z, dz = half_line
+    R, Z = np.meshgrid(rho, z, indexing="ij")
+    return R, Z, 4.0 * np.pi * np.outer(rho * drho, dz)
+
+
+def grid_rayleigh_quotient(params, cfg):
+    """The energy terms as 2-D sums of psi and its partials over
+    ``graded_grid``: the kinetic term from |grad psi|^2 node by node, with
+    none of the radial-moment algebra and no closed-form z integral."""
+    R, Z, W = graded_grid(params, cfg)
     s = evaluate(params, cfg, R, Z)
     psi2 = s.psi**2
     norm = np.sum(W * psi2)
@@ -161,15 +180,16 @@ def grid_rayleigh_quotient(params, cfg, spec):
 
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_energy_terms_match_grid_rayleigh_quotient(params, cfg, wrt):
+    # The radial rule at 64 nodes is within 6e-14 of the oracle here.
     br = energy(params, cfg, SPEC)
-    for name, ref in grid_rayleigh_quotient(params, cfg, SPEC).items():
+    for name, ref in grid_rayleigh_quotient(params, cfg).items():
         assert getattr(br, name) == pytest.approx(ref, rel=1e-12), name
 
 
-def grid_observables(params, cfg, spec):
+def grid_observables(params, cfg):
     """<rho>, <|z|> and the Shannon entropy as 2-D sums of the density
-    psi^2 / N over the grid ``observables`` uses, node by node."""
-    R, Z, W = cylinder_grid(cfg.rho0, adapted_spec(spec, params, cfg))
+    psi^2 / N over ``graded_grid``, node by node."""
+    R, Z, W = graded_grid(params, cfg)
     psi2 = evaluate(params, cfg, R, Z).psi**2
     dens = psi2 / np.sum(W * psi2)
     # rho ln rho -> 0 at the wall; underflowed densities contribute 0.
@@ -179,11 +199,18 @@ def grid_observables(params, cfg, spec):
                 shannon_r=-np.sum(W * dens * ln_dens))
 
 
+# The entropy's ln(1 - (rho/rho0)^nu) is log-singular at the wall, where
+# the radial rule is not graded: at 64 nodes it is within 2e-10 of the
+# oracle at finite rho0, every other observable within 2e-14.
+OBSERVABLE_RTOL = dict(mean_rho=1e-12, mean_abs_z=1e-12, shannon_r=1e-9)
+
+
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_observables_match_grid_sums(params, cfg, wrt):
     obs = observables(params, cfg, SPEC)
-    for name, ref in grid_observables(params, cfg, SPEC).items():
-        assert getattr(obs, name) == pytest.approx(ref, rel=1e-12), name
+    for name, ref in grid_observables(params, cfg).items():
+        assert getattr(obs, name) == pytest.approx(
+            ref, rel=OBSERVABLE_RTOL[name]), name
     assert obs.aspect_ratio == obs.mean_rho / (2.0 * obs.mean_abs_z)
 
 
@@ -241,12 +268,29 @@ def test_tail_fit_drops_points_below_free_limit():
     assert expo == pytest.approx(2.0, abs=1e-9)
 
 
-def test_adapted_spec_scales():
-    spec = QuadratureSpec(32, 32)
-    params = TrialParams(alpha=2.0, beta=0.25, gamma=0.0)
-    out = adapted_spec(spec, params, SystemConfig(B=4.0, rho0=math.inf))
-    assert out.z_scale == 0.5
-    assert out.rho_scale == 0.5  # min(1/alpha, 2/sqrt(B)) = min(0.5, 1.0)
-    out = adapted_spec(spec, params, SystemConfig(B=0.0, rho0=2.0))
-    assert out.z_scale == 0.5
-    assert out.rho_scale == spec.rho_scale  # finite radius: unused mapping
+def test_rule_stops_where_the_density_is_negligible(monkeypatch):
+    # exp(-2 alpha rho - 2 beta B rho^2) = eps^4 at rho_max, unless rho0 is
+    # nearer or the Gaussian grows.
+    ln_cut = -4.0 * math.log(np.finfo(float).eps)
+    spec = QuadratureSpec(32)
+    params = TrialParams(alpha=2.0, beta=0.25, nu=3.0)
+    for cfg in (SystemConfig(B=4.0, rho0=1e3), SystemConfig(B=0.0, rho0=1e3),
+                SystemConfig(B=4.0, rho0=math.inf)):
+        rho_max = fixed_rule(params, cfg, spec).rho_max
+        c = params.beta * cfg.B
+        assert 2.0 * params.alpha * rho_max + 2.0 * c * rho_max**2 == \
+            pytest.approx(ln_cut, rel=1e-14)
+    narrow_cavity = SystemConfig(B=4.0, rho0=2.0)
+    assert fixed_rule(params, narrow_cavity, spec).rho_max == 2.0
+    growing = replace(params, beta=-0.25)
+    assert fixed_rule(growing, SystemConfig(B=4.0, rho0=1e3),
+                      spec).rho_max == 1e3
+    # energy() rebuilds a rule that stops short of the density it is given,
+    # and takes one that reaches beyond it.
+    cfg = SystemConfig(B=0.0, rho0=1e3)
+    narrow = TrialParams(alpha=2.0, beta=0.0, nu=3.0)
+    wide = replace(narrow, alpha=1.0)
+    short = fixed_rule(narrow, cfg, SPEC)
+    assert energy(wide, cfg, SPEC, short) == energy(wide, cfg, SPEC)
+    assert energy(narrow, cfg, SPEC, fixed_rule(wide, cfg, SPEC)).total == \
+        pytest.approx(energy(narrow, cfg, SPEC).total, abs=1e-12)

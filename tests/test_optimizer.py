@@ -42,13 +42,17 @@ def test_determinism(free_nu_rho2):
     assert again == free_nu_rho2
 
 
-# Optima of the multi-start Nelder-Mead optimizer this one replaced, at 64
-# nodes: (B, rho0) -> E.  Acceptance criteria 1 and 4 use these points.
+# Optima of a multi-start Nelder-Mead search, as the optimizer this one
+# replaced ran it, on the 64-node radial rule: scipy's Nelder-Mead from each
+# of DEFAULT_STARTS, restarted twice at xatol 1e-12, the lowest kept.
+# (B, rho0) -> E.  Acceptance criteria 1 and 4 use these points.  On the
+# 64^2 tensor rule that the radial rule replaced they were 5.7e-7 to 7.7e-7
+# lower, that rule's bias at the cusp.
 NELDER_MEAD_OPTIMA = {
-    (0.0, 2.0): -0.27675625524342395,
-    (0.4, 0.8): 2.6592098056004247,
-    (0.8, 2.0): -0.2233946067335111,
-    (1.0, 5.0): -0.3301883872671241,
+    (0.0, 2.0): -0.27675568302343634,
+    (0.4, 0.8): 2.659210574104845,
+    (0.8, 2.0): -0.22339400978696972,
+    (1.0, 5.0): -0.33018622298071176,
 }
 
 
@@ -155,23 +159,34 @@ def test_convergence_does_not_depend_on_rounding(monkeypatch, eps):
     assert outcome == {point: (2, True) for point in outcome}
 
 
-def test_basin_starts_share_one_rule(monkeypatch):
-    # Both basin starts have alpha = 1, so they adapt the rule alike.
-    # ``energy`` builds a rule of its own at each solve's optimum: only the
-    # rules built at a basin start's parameters count here.
-    req = default_request(SystemConfig(B=0.4, rho0=2.0))
-    starts = {req.build_params(req.start_vector(s)) for s in req.starts[:2]}
-    calls = 0
+def count_rules(monkeypatch) -> list:
+    """Record each ``hamiltonian.fixed_rule`` call's parameters."""
+    built = []
     build = hamiltonian.fixed_rule
 
     def counted(params, *args):
-        nonlocal calls
-        calls += params in starts
+        built.append(params)
         return build(params, *args)
 
     monkeypatch.setattr(hamiltonian, "fixed_rule", counted)
-    minimize(req, SPEC)
-    assert calls == 1
+    return built
+
+
+def test_basin_starts_share_one_rule(monkeypatch):
+    # At finite rho0 the rule depends on (rho0, nodes): both basin solves
+    # and the energies at their optima share the one rule minimize builds.
+    built = count_rules(monkeypatch)
+    res = minimize(default_request(SystemConfig(B=0.4, rho0=2.0)), SPEC)
+    assert len(built) == 1
+    assert res.rule is not None
+
+
+def test_pinned_point_record_builds_one_rule(monkeypatch):
+    built = count_rules(monkeypatch)
+    fixed = {"alpha": 1.1, "beta": 0.1, "nu": 2.5}
+    rec = point_record(SystemConfig(B=0.5, rho0=2.0), SPEC, fixed=fixed)
+    assert built == [TrialParams(**fixed)]
+    assert math.isfinite(rec.E) and math.isfinite(rec.shannon_r)
 
 
 def test_each_basin_start_can_win():
@@ -336,9 +351,10 @@ def test_default_starts_are_admissible():
 
 
 def test_scan_failed_row_is_nan_and_skipped_by_warm_start():
-    # z = B rho0^2 / 2 = 1800 at rho0 = 60 exceeds the Kummer root's cap.
+    # At rho0 = 1e-200 the confinement energy j01^2 / (2 rho0^2) exceeds
+    # the largest double, so the row cannot be computed.
     spec = QuadratureSpec(48, 48)
-    grid = [SystemConfig(B=1.0, rho0=r) for r in (2.0, 60.0, 3.0)]
+    grid = [SystemConfig(B=1.0, rho0=r) for r in (2.0, 1e-200, 3.0)]
     records = scan(grid, spec)
     failed = records[1]
     assert math.isnan(failed.E) and math.isnan(failed.E0)
@@ -347,3 +363,38 @@ def test_scan_failed_row_is_nan_and_skipped_by_warm_start():
     clean = scan([grid[0], grid[2]], spec)
     assert [rows[0], rows[2]] == [format_row(r) for r in clean]
     assert [format_row(r) for r in scan(grid, spec, jobs=2)] == rows
+
+
+@pytest.mark.parametrize("rho0", [8.0, 10.0, 15.0, 20.0, 30.0])
+def test_zero_field_optimum_is_above_free_atom(rho0):
+    # The exact E(B = 0, rho0) lies above the free atom's -1/2 at every
+    # finite radius, by 2e-11 at rho0 = 15 and by 1e-13 or less beyond 20.
+    res = minimize(default_request(SystemConfig(B=0.0, rho0=rho0)),
+                   QuadratureSpec(48))
+    assert res.energy.total > -0.5
+
+
+@pytest.mark.parametrize("B,rho0", [(2.0, 60.0), (1.0, 200.0),
+                                    (2.0, 1000.0), (0.1, 1000.0)])
+def test_wide_cavity_energy_is_converged_in_nodes(B, rho0):
+    # z = B rho0^2 / 2 from 3600 to 1e6: the rule stops where the density
+    # underflows, so its nodes stay on the atom however wide the cavity.
+    cfg = SystemConfig(B=B, rho0=rho0)
+    res = minimize(default_request(cfg), QuadratureSpec(64))
+    assert res.converged
+    fine = hamiltonian.energy(res.params, cfg, QuadratureSpec(128)).total
+    assert abs(res.energy.total - fine) <= 1e-9
+
+
+@pytest.mark.parametrize("B", [1.0, 2.0])
+def test_wide_cavity_energy_approaches_its_unconfined_limit(B):
+    # As rho0 grows, (1 - (rho/rho0)^nu) -> 1 on the atom, and the trial
+    # state tends to exp(-alpha r - beta B rho^2): the rho0 = inf state at
+    # gamma = 0.  The cut-off's freedom is worth 1.3e-6 at rho0 = 60 and
+    # 9e-8 at 200, so E rises towards that limit, but never above it.
+    limit = minimize(default_request(SystemConfig(B=B, rho0=math.inf),
+                                     fixed={"gamma": 0.0}), SPEC).energy.total
+    e = [minimize(default_request(SystemConfig(B=B, rho0=rho0)),
+                  SPEC).energy.total for rho0 in (60.0, 200.0, 1000.0)]
+    assert e[0] < e[1] < e[2] <= limit + 1e-12
+    assert e[2] == pytest.approx(limit, abs=1e-11)

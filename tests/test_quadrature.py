@@ -2,62 +2,73 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k0, k1
 
 from cylvar.quadrature import QuadratureSpec, cylinder_grid
 
-SPEC = QuadratureSpec(64, 64)
+SPEC = QuadratureSpec(64)
 
 
-def integrate(f, rho0, spec):
-    R, Z, W = cylinder_grid(rho0, spec)
-    return float(np.sum(W * f(R, Z)))
+# The 1s density exp(-2r) is below exp(-80) beyond this radius.
+RHO_1S = 40.0
+
+
+def integrate(g, rho_max, spec):
+    """2 pi int_0^rho_max g(rho) rho drho on the radial rule."""
+    rho, w = cylinder_grid(rho_max, spec)
+    return float(np.sum(w * g(rho)))
+
+
+# int e^{-2r} c dz over the whole z axis (Gradshteyn-Ryzhik 3.961), taken
+# here from scipy's unscaled K0 and K1.
+def z_integral_1s(rho):
+    return 2.0 * rho * k1(2.0 * rho)
 
 
 def test_norm_1s_exact():
     # int e^{-2r} d^3r = pi
-    val = integrate(lambda r, z: np.exp(-2.0 * np.hypot(r, z)), math.inf, SPEC)
+    val = integrate(z_integral_1s, RHO_1S, SPEC)
     assert val == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_coulomb_1s_exact():
-    # int e^{-2r} / r d^3r = pi
-    val = integrate(
-        lambda r, z: np.exp(-2.0 * np.hypot(r, z)) / np.hypot(r, z),
-        math.inf, SPEC)
-    assert val == pytest.approx(math.pi, abs=1e-5)
+    # int e^{-2r} / r d^3r = pi; K0's log at rho = 0 is graded away
+    val = integrate(lambda rho: 2.0 * k0(2.0 * rho), RHO_1S, SPEC)
+    assert val == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_mean_rho_1s_exact():
     # int e^{-2r} rho d^3r = 3 pi^2 / 8
-    val = integrate(lambda r, z: np.exp(-2.0 * np.hypot(r, z)) * r,
-                    math.inf, SPEC)
-    assert val == pytest.approx(3.0 * math.pi**2 / 8.0, rel=1e-10)
+    val = integrate(lambda rho: rho * z_integral_1s(rho), RHO_1S, SPEC)
+    assert val == pytest.approx(3.0 * math.pi**2 / 8.0, rel=1e-12)
 
 
 def test_gaussian_times_disc():
     # 2 pi * (1/2) * int e^{-2 z^2} dz = pi sqrt(pi/2)
-    val = integrate(lambda r, z: np.exp(-2.0 * z**2), 1.0, SPEC)
+    val = integrate(lambda rho: np.full_like(rho, math.sqrt(math.pi / 2.0)),
+                    1.0, SPEC)
     assert val == pytest.approx(math.pi * math.sqrt(math.pi / 2.0), abs=1e-12)
 
 
 def test_radial_polynomial_exactness():
-    # Gauss-Legendre integrates rho^5 * rho exactly from 8 nodes on.
-    f = lambda r, z: r**5 * np.exp(-z**2)
-    lo = integrate(f, 1.0, QuadratureSpec(8, 64))
-    hi = integrate(f, 1.0, QuadratureSpec(40, 64))
-    assert lo == pytest.approx(hi, rel=1e-13)
+    # rho = t^3 makes rho^3 * rho drho a degree-14 polynomial in t, which
+    # Gauss-Legendre integrates exactly from 8 nodes on: 2 pi / 5.
+    val = integrate(lambda rho: rho**3, 1.0, QuadratureSpec(8))
+    assert val == pytest.approx(2.0 * math.pi / 5.0, rel=1e-14)
 
 
 def test_grid_shapes_and_weights():
-    R, Z, W = cylinder_grid(2.0, SPEC)
-    assert R.shape == Z.shape == W.shape == (SPEC.n_rho, SPEC.n_z)
-    assert np.all(W > 0)
-    assert np.all(R <= 2.0) and np.all(R > 0)
-    assert np.all(Z > 0)  # z-parity is folded into the weights
+    rho, w = cylinder_grid(2.0, SPEC)
+    assert rho.shape == w.shape == (SPEC.n_rho,)
+    assert np.all(w > 0)
+    assert np.all(rho > 0) and np.all(rho < 2.0)
+    assert np.all(np.diff(rho) > 0)
+    with pytest.raises(ValueError, match="finite radius"):
+        cylinder_grid(math.inf, SPEC)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_rho=4), dict(n_z=7), dict(z_scale=0.0), dict(rho_scale=-1.0),
+    dict(n_rho=4), dict(n_rho=7), dict(n_rho=0), dict(n_rho=-64),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -65,7 +76,5 @@ def test_spec_validation(kwargs):
 
 
 def test_refined_doubles_counts_keeps_scales():
-    spec = QuadratureSpec(16, 24, z_scale=0.5, rho_scale=2.0)
-    fine = spec.refined()
+    fine = QuadratureSpec(16, 24).refined()
     assert (fine.n_rho, fine.n_z) == (32, 48)
-    assert (fine.z_scale, fine.rho_scale) == (0.5, 2.0)
