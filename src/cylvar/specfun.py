@@ -21,24 +21,34 @@ __all__ = ["kummer_m", "landau_cylinder_energy", "J01"]
 
 J01 = float(jn_zeros(0, 1)[0])  # first positive zero of J0
 
-_B_BESSEL_LIMIT = 1e-6
+# At z = B rho0^2 / 2 the field raises E0 above the drum mode by about
+# 0.038 z^2 relative; at z <= 1e-8 that is below 4e-18, and the drum value
+# matched 30-digit roots to within 1 ulp (z = 1e-10 to 1e-8).
+_Z_DRUM_LIMIT = 1e-8
 
 
 def landau_cylinder_energy(B: float, rho0: float) -> float:
     """Lowest E0 with a Dirichlet wall at rho0 and axial field B.
 
-    Delegates to the Bessel drum limit for B <= 1e-6.  Otherwise the root
-    lies in [max(B/2, drum), B/2 + drum] with drum = j01^2 / (2 rho0^2), and
-    the Kummer function changes sign only once there.  Raises ValueError
-    for rho0 = inf.
+    Delegates to the Bessel drum limit for z = B rho0^2 / 2 <= 1e-8.
+    Otherwise the root lies in [max(B/2, drum), B/2 + drum] with drum =
+    j01^2 / (2 rho0^2), and the Kummer function changes sign only once
+    there; it is found to 1e-14 of the bracket's top.  Raises ValueError
+    for rho0 = inf and for a rho0 so small that the drum energy overflows
+    a double.
     """
     if math.isinf(rho0):
         raise ValueError("rho0 must be finite")
-    drum = J01**2 / (2.0 * rho0**2)
-    if B <= _B_BESSEL_LIMIT:
+    r2 = rho0 * rho0
+    drum = J01**2 / (2.0 * r2) if r2 > 0.0 else math.inf
+    if not math.isfinite(drum):
+        raise ValueError(
+            f"rho0 = {rho0!r} is too small: the confinement energy "
+            "j01^2 / (2 rho0^2) overflows a double")
+    z = 0.5 * B * r2
+    if z <= _Z_DRUM_LIMIT:
         return drum
 
-    z = 0.5 * B * rho0**2
     def g(e0: float) -> float:
         return kummer_m(-(e0 / B - 0.5), 1.0, z)
 
@@ -47,4 +57,5 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
         # hyp1f1 overflows for z above ~710, where the root lies within
         # z*exp(-z) of the Landau level.
         return 0.5 * B
-    return float(brentq(g, max(0.5 * B, drum), hi, xtol=1e-12, rtol=1e-14))
+    return float(brentq(g, max(0.5 * B, drum), hi, xtol=1e-14 * hi,
+                        rtol=1e-14))

@@ -94,10 +94,30 @@ def _mpmath_root(B, rho0):
     (2.0, 5.0),      # z = 25
     (0.5, 20.0),     # z = 100
     (1.0, 37.4),     # z = 699.4
+    (1e-6, 1000.0),  # z = 0.5 at a tiny field: 0.94% above the drum mode
+    (1e-7, 3000.0),  # z = 0.45
 ])
 def test_root_matches_mpmath(B, rho0):
     assert landau_cylinder_energy(B, rho0) == pytest.approx(
         _mpmath_root(B, rho0), rel=1e-10)
+
+
+@pytest.mark.parametrize("B", [2e-8, 2e-7, 2e-6, 2e-5, 2e-4, 2e-3, 0.02,
+                               0.2, 2.0])
+def test_z_one_root_is_three_halves_b(B):
+    # At z = B rho0^2 / 2 = 1, M(-1, 1, z) = 1 - z vanishes: E0 = 3B/2
+    # exactly, however small the field.
+    assert landau_cylinder_energy(B, math.sqrt(2.0 / B)) == pytest.approx(
+        1.5 * B, rel=1e-12)
+
+
+def test_tiny_radius():
+    # z = 5e-61: the drum mode, not a Kummer bracket without a sign change
+    assert landau_cylinder_energy(1.0, 1e-30) == J01**2 / (2.0 * 1e-30**2)
+    # the drum energy overflows a double below rho0 ~ 1.3e-154
+    for rho0 in (1e-160, 1e-200):
+        with pytest.raises(ValueError, match=f"rho0 = {rho0!r} is too small"):
+            landau_cylinder_energy(1.0, rho0)
 
 
 def test_wide_cavity_reaches_landau_level():
