@@ -4,10 +4,13 @@ psi = f(rho) exp(-alpha r), so the z integral of every term is a modified
 Bessel function of 2 alpha rho in closed form, and every integral the energy
 and the observables need is a sum over the radial nodes of a ``FixedRule``
 of f, f' and a few such moments of exp(-2 alpha r).  ``energy`` and
-``observables`` take them on a given rule or on the rule built at their
-parameters, and ``energy_gradient`` on a rule held fixed for one point.  No
-2-D field of psi is formed; ``trialfn.evaluate`` serves as the tests'
-node-by-node oracle.
+``energy_gradient`` take all their sums from one matrix product: the rows f,
+f' and each (df/dtheta, df'/dtheta) against the moment rows, which are the
+rule's parameter-free weights times one K0 and one K1 of 2 alpha rho; the
+rest is scalar algebra.  ``energy`` and ``observables`` work on a given rule
+or on the rule built at their parameters, and ``energy_gradient`` on a rule
+held fixed for one point.  No 2-D field of psi is formed;
+``trialfn.evaluate`` serves as the tests' node-by-node oracle.
 The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
 equivalent to -psi Lap psi / 2 under the Dirichlet wall and avoids second
 derivatives of the cut-off factor.  All expectation values are taken with
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import k0, k1
@@ -94,9 +98,22 @@ class FixedRule:
     rho2: np.ndarray      # rho^2
     weight: np.ndarray    # 2 pi rho w_rho, times the 2 of z-parity
     x: np.ndarray | None  # rho/rho0 at finite rho0
-    ln_x: np.ndarray | None
-    zeeman: np.ndarray    # B^2 rho^2 / 8 on the radial nodes
     rho_max: float
+    # The moment rows of ``_rayleigh_sums`` are k0_weights K0(2 alpha rho),
+    # then k1_weights K1(2 alpha rho).
+    k0_weights: np.ndarray
+    k1_weights: np.ndarray
+
+    @cached_property
+    def ln_x(self) -> np.ndarray:
+        """ln(rho/rho0), for dp/dnu: built once a solve with nu free asks."""
+        return np.log(self.x)
+
+
+# Rows of the moment matrix: the K0 part of m_r (m_r = M_R0 + m_1 /
+# 2 alpha), m_{rho/r}, m_{1/r} and rho^2 M_R0; then m_1, rho^2 m_1 and
+# rho m_1.  The Zeeman potential is B^2/8 times rho^2.
+M_R0, M_RHO, M_INV_R, R2_MR0, M1, R2_M1, RHO_M1 = range(7)
 
 
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
@@ -106,9 +123,14 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
     rho, weight = cylinder_grid(rho_max, spec)
     x = None if math.isinf(cfg.rho0) else rho / cfg.rho0
     rho2 = rho * rho
-    return FixedRule(rho=rho, rho2=rho2, weight=2.0 * weight, x=x,
-                     ln_x=None if x is None else np.log(x),
-                     zeeman=(cfg.B**2 / 8.0) * rho2, rho_max=rho_max)
+    weight = 2.0 * weight
+    w_rho = weight * rho
+    w_rho2 = w_rho * rho
+    w_rho3 = w_rho2 * rho
+    return FixedRule(
+        rho=rho, rho2=rho2, weight=weight, x=x, rho_max=rho_max,
+        k0_weights=np.array([w_rho2, w_rho, weight, w_rho3 * rho]),
+        k1_weights=np.array([w_rho, w_rho3, w_rho2]))
 
 
 def _rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
@@ -122,13 +144,16 @@ def _rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
 
 def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
-    """The prefactor p(rho), f = p exp(-beta*B*rho^2) and f' on the radial
-    nodes, with (df/dtheta, df'/dtheta) for each theta in ``wrt`` other than
-    alpha."""
+    """The prefactor p(rho), and on the radial nodes the rows f, f' of
+    f = p exp(-beta*B*rho^2) followed by df/dtheta, df'/dtheta for each
+    theta in ``wrt`` other than alpha, as an array of shape (2k, n_rho).
+
+    Each pair of rows is (q G, (q G)') for a prefactor q and
+    G = exp(-beta*B*rho^2): q = p for f, and dp/dtheta for theta = nu or
+    gamma.  beta acts through G, but since dG/dbeta = -B rho^2 G its q is
+    -B rho^2 p."""
     rho = rule.rho
     B = cfg.B
-    gauss = np.exp((-params.beta * B) * rule.rho2)
-    dlog = (-2.0 * params.beta * B) * rho
     if rule.x is None:
         g = 0.0 if params.gamma is None else params.gamma
         p, dp = 1.0 + g**2 * rule.rho2, (2.0 * g**2) * rho
@@ -136,28 +161,33 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
         x_nu1 = rule.x ** (params.nu - 1.0)
         x_nu = x_nu1 * rule.x
         p, dp = 1.0 - x_nu, (-params.nu / cfg.rho0) * x_nu1
-    f = p * gauss
-    df = (dp + p * dlog) * gauss
+    c = params.beta * B
+    if c:
+        gauss = np.exp(-c * rule.rho2)
+        slope = (2.0 * c) * rho
 
-    def prefactor_term(q, dq):
-        # p moves by q = dp/dtheta, and p' by dq.
-        return q * gauss, (dq + q * dlog) * gauss
+        def times_gauss(q, dq):
+            # (q G)' = (q' - 2 c rho q) G
+            return q * gauss, (dq - slope * q) * gauss
+    else:  # G = 1
+        def times_gauss(q, dq):
+            return q, dq
 
-    derivs = []
+    rows = [*times_gauss(p, dp)]
     for name in wrt:
         if name == "alpha":
-            derivs.append(None)  # alpha enters through the moments alone
-        elif name == "beta":
-            derivs.append((-B * rule.rho2 * f,
-                           -2.0 * B * rho * f - B * rule.rho2 * df))
+            continue  # alpha enters through the moments alone
+        if name == "beta":
+            rows += times_gauss(-B * rule.rho2 * p,
+                                -B * (2.0 * rho * p + rule.rho2 * dp))
         elif name == "nu":
-            derivs.append(prefactor_term(-x_nu * rule.ln_x,
-                                         dp * (rule.ln_x + 1.0 / params.nu)))
+            rows += times_gauss(-x_nu * rule.ln_x,
+                                dp * (rule.ln_x + 1.0 / params.nu))
         elif name == "gamma":
-            derivs.append(prefactor_term(2.0 * g * rule.rho2, 4.0 * g * rho))
+            rows += times_gauss(2.0 * g * rule.rho2, 4.0 * g * rho)
         else:
             raise ValueError(f"unknown parameter name: {name!r}")
-    return p, f, df, derivs
+    return p, np.array(rows)
 
 
 def _moments(alpha: float, rule: FixedRule):
@@ -174,6 +204,68 @@ def _moments(alpha: float, rule: FixedRule):
     return m1, m_rho, rule.rho * m_rho + m1 / a, m_inv_r
 
 
+def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
+                   wrt: tuple[str, ...]):
+    """N, the numerators of the kinetic, Coulomb and Zeeman terms, E and
+    dE/dtheta for theta in ``wrt``, from one matrix of moment sums.
+
+    |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2] with
+    h = exp(-alpha r), so N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1
+    - 2 alpha sum f f' m_{rho/r}, V = sum f^2 (B^2 rho^2/8 m_1 - m_{1/r})
+    and E = (K/2 + V)/N, exact for the rule's nodes and weights.  Besides
+    the explicit alpha in K, d/dalpha acts on the moments alone (dm_1 =
+    -2 m_r, dm_{rho/r} = -2 rho m_1, dm_{1/r} = -2 m_1), and the other
+    parameters act on f and f' alone, through N dE/df = alpha^2 f m_1
+    - alpha f' m_{rho/r} + 2 f (B^2 rho^2/8 m_1 - m_{1/r} - E m_1) and
+    N dE/df' = f' m_1 - alpha f m_{rho/r} at each node.  Every one of these
+    is a sum of u v m over the nodes, u in (f, f') and v in (f, f' and each
+    df/dtheta, df'/dtheta), for a moment row m: the product below forms all
+    of them at once, and the rest is scalar algebra.
+    """
+    a = params.alpha
+    # The moments of ``_moments``, as the rows M_R0 ... RHO_M1.
+    ar = (2.0 * a) * rule.rho
+    moments = np.concatenate((rule.k0_weights * k0(ar),
+                              rule.k1_weights * k1(ar)))
+    rows = _radial_factor(params, cfg, rule, wrt)[1]
+    # s[u][v][m] = sum over the nodes of rows[u] rows[v] moments[m]
+    s = ((rows[:2, None] * rows[None]) @ moments.T).tolist()
+    (ff, fdf, *_), (_, dfdf, *_) = s
+    norm = ff[M1]
+    kinetic = 0.5 * (dfdf[M1] + a * a * norm) - a * fdf[M_RHO]
+    coulomb = -ff[M_INV_R] if cfg.coulomb_on else 0.0
+    z = cfg.B**2 / 8.0
+    zeeman = z * ff[R2_M1]
+    # A norm that underflows to 0 gives a non-finite E, as in numpy.
+    inv_norm = 1.0 / norm if norm else math.inf
+    e = (kinetic + coulomb + zeeman) * inv_norm
+    grad = []
+    k = 2
+    for name in wrt:
+        if name == "alpha":
+            # N dE/dalpha = d(K/2 + V)/dalpha - E dN/dalpha, with
+            # m_r = M_R0 + m_1 / (2 alpha)
+            half_a = 0.5 / a
+            mr = ff[M_R0] + half_a * norm
+            n_grad = (-(dfdf[M_R0] + half_a * dfdf[M1]) - a * a * mr
+                      - 2.0 * z * (ff[R2_MR0] + half_a * ff[R2_M1])
+                      + 2.0 * e * mr
+                      + a * norm - fdf[M_RHO] + 2.0 * a * fdf[RHO_M1])
+            if cfg.coulomb_on:
+                n_grad += 2.0 * norm  # -sum f^2 dm_{1/r}
+        else:
+            # sum d0 N dE/df + d1 N dE/df' for (d0, d1) = rows k, k + 1
+            (f_d0, f_d1), (df_d0, df_d1) = (row[k:k + 2] for row in s)
+            k += 2
+            n_grad = (a * a * f_d0[M1] - a * df_d0[M_RHO]
+                      + 2.0 * (z * f_d0[R2_M1] - e * f_d0[M1])
+                      + df_d1[M1] - a * f_d1[M_RHO])
+            if cfg.coulomb_on:
+                n_grad -= 2.0 * f_d0[M_INV_R]
+        grad.append(n_grad * inv_norm)
+    return norm, kinetic, coulomb, zeeman, e, grad
+
+
 def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
            rule: FixedRule | None = None) -> EnergyBreakdown:
     """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state: the
@@ -184,67 +276,29 @@ def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     ArithmeticError for a norm that is not finite and positive or a total
     that is not finite.
     """
-    check_admissible(asdict(params), cfg)
+    check_admissible(vars(params), cfg)
     rule = _rule_for(params, cfg, spec, rule)
-    m1, m_rho, _, m_inv_r = _moments(params.alpha, rule)
-    _, f, df, _ = _radial_factor(params, cfg, rule, ())
-    f2 = f * f
-    norm = float(f2 @ m1)
+    norm, kinetic, coulomb, zeeman, _, _ = _rayleigh_sums(params, cfg, rule,
+                                                          ())
     if not (math.isfinite(norm) and norm > 0):
         raise ArithmeticError(f"trial norm {norm:g} on the quadrature grid "
                               f"at {params}")
-
-    a = params.alpha
-    kinetic = float(0.5 * ((df * df + a * a * f2) @ m1)
-                    - a * ((f * df) @ m_rho)) / norm
-    coulomb = -float(f2 @ m_inv_r) / norm if cfg.coulomb_on else 0.0
-    zeeman_quadratic = float(f2 @ (rule.zeeman * m1)) / norm
-    total = kinetic + coulomb + zeeman_quadratic
+    kinetic /= norm
+    coulomb /= norm
+    zeeman /= norm
+    total = kinetic + coulomb + zeeman
     if not math.isfinite(total):
         raise ArithmeticError(f"non-finite energy {total} at {params}")
     return EnergyBreakdown(kinetic=kinetic, coulomb=coulomb,
-                           zeeman_quadratic=zeeman_quadratic,
-                           total=total, norm=norm)
+                           zeeman_quadratic=zeeman, total=total, norm=norm)
 
 
 def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                     wrt: tuple[str, ...]) -> tuple[float, np.ndarray]:
-    """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in ``wrt``.
-
-    |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2] with
-    h = exp(-alpha r), so N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1
-    - 2 alpha sum f f' m_{rho/r}, V = sum f^2 (B^2 rho^2/8 m_1 - m_{1/r})
-    and E = (K/2 + V)/N, exact for the rule's nodes and weights.  Besides
-    the explicit alpha in K, d/dalpha acts on the moments alone (dm_1 =
-    -2 m_r, dm_{rho/r} = -2 rho m_1, dm_{1/r} = -2 m_1), and the other
-    parameters act on f and f' alone.  Everything is O(n_rho).
-    """
-    a = params.alpha
-    m1, m_rho, m_r, m_inv_r = _moments(a, rule)
-    _, f, df, derivs = _radial_factor(params, cfg, rule, wrt)
-    f2 = f * f
-    f_df = f * df
-    grad2 = df * df + a * a * f2
-    u = rule.zeeman * m1
-    if cfg.coulomb_on:
-        u = u - m_inv_r
-    norm = f2 @ m1
-    e = (0.5 * (grad2 @ m1) - a * (f_df @ m_rho) + f2 @ u) / norm
-    # N dE/df and N dE/df' at each radial node.
-    e_f = a * a * f * m1 - a * df * m_rho + 2.0 * f * (u - e * m1)
-    e_df = df * m1 - a * f * m_rho
-    grad = []
-    for d in derivs:
-        if d is not None:
-            grad.append(d[0] @ e_f + d[1] @ e_df)
-            continue
-        # N dE/dalpha = d(K/2 + V)/dalpha - E dN/dalpha
-        d_alpha = (-(grad2 + 2.0 * f2 * (rule.zeeman - e)) @ m_r + a * norm
-                   - f_df @ m_rho + 2.0 * a * (f_df * rule.rho) @ m1)
-        if cfg.coulomb_on:
-            d_alpha += 2.0 * norm  # -sum f^2 dm_{1/r}
-        grad.append(d_alpha)
-    return float(e), np.array(grad) / norm
+    """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in
+    ``wrt``, from the sums of ``_rayleigh_sums``."""
+    *_, e, grad = _rayleigh_sums(params, cfg, rule, wrt)
+    return e, np.array(grad)
 
 
 def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
@@ -259,7 +313,7 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     """
     rule = _rule_for(params, cfg, spec, rule)
     m1, _, m_r, _ = _moments(params.alpha, rule)
-    p, f, _, _ = _radial_factor(params, cfg, rule, ())
+    p, (f, _) = _radial_factor(params, cfg, rule, ())
     a = 2.0 * params.alpha
     m_abs_z = rule.weight * np.exp(-a * rule.rho) * (rule.rho / a + 1.0 / a**2)
     f2 = f * f

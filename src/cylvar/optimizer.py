@@ -6,12 +6,22 @@ is one solve per basin of the energy (two when beta and nu are both free,
 else one), each from its own start; the other starts run only when one of
 those solves ends unconverged or on a bound.  Bounds taken from
 ``trialfn.admissible_bounds`` keep every proposal admissible.
+
+L-BFGS-B depends on how its coordinates are scaled (Byrd, Lu, Nocedal & Zhu,
+SIAM J. Sci. Comput. 16, 1995), so the solver steps in alpha, beta*B, ln nu
+and gamma.  psi depends on beta only through beta*B; in beta the gradient
+shrinks with B, and at small B it passes gtol far from the optimum.  In nu
+the curvature of E falls as nu grows (its Hessian's eigenvalues in linear nu
+are 1.2e-4, 0.43 and 3.3 at the sharp optimum at (B, rho0) = (0.4, 2)), so
+the solves crept, and at large rho0 stopped at their start's nu; ln nu needs
+no tuning constant, and nu >= 1 is the box bound ln nu >= 0.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Mapping, Sequence
@@ -23,7 +33,7 @@ import scipy.optimize
 from . import hamiltonian
 from .hamiltonian import EnergyBreakdown
 from .quadrature import QuadratureSpec
-from .records import ScanRecord
+from .records import ScanRecord, format_float
 from .trialfn import (SystemConfig, TrialParams, admissible_bounds,
                       check_admissible)
 
@@ -73,7 +83,7 @@ _LINE_SEARCH_FAILED = 2
 _HESSIAN_STEP = 1e-6  # forward difference, relative to max(1, |x|)
 _ROUNDING_DECREASE = 64 * np.finfo(float).eps  # relative to max(|E|, 1)
 _MAX_EVALS = 2000  # objective evaluations per solve
-_MIN_BETA_SCALE = 1e-150  # see OptimizeRequest.scales
+_MIN_BETA_SCALE = 1e-150  # see OptimizeRequest._layout
 # L-BFGS-B takes closed bounds: a strict one moves this far inside.
 _STRICT_MARGIN = 1e-8
 
@@ -104,43 +114,54 @@ class OptimizeRequest:
         if "nu" in self.free_params and math.isinf(self.cfg.rho0):
             raise ValueError("nu has no effect at rho0 = inf; fix it")
 
-    def scales(self) -> list[float]:
-        """Solver coordinate per unit of each free parameter.  psi depends on
-        beta only through beta*B, so the solver steps in beta*B: in beta the
-        gradient shrinks with B, and at small B it passes gtol far from the
-        optimum.  The floor on B keeps beta = x/B finite."""
-        return [max(self.cfg.B, _MIN_BETA_SCALE) if name == "beta" else 1.0
-                for name in self.free_params]
-
     @cached_property
-    def _layout(self) -> tuple[dict, tuple[tuple[str, float], ...]]:
+    def _layout(self) -> tuple[dict, tuple[tuple[str, float | None], ...]]:
         """The fixed values of every parameter that is not free (gamma None
-        when unset), and (name, scale) of each free one: resolved once, since
-        ``build_params`` runs on every objective evaluation."""
+        when unset), and (name, scale) of each free one: its solver
+        coordinate is scale times the parameter, or ln nu for a scale of
+        None.  Resolved once, since ``build_params`` runs on every objective
+        evaluation.  The floor on B in beta's scale keeps beta = x/B
+        finite."""
         fixed = {name: self.fixed_values.get(name) for name in _PARAM_NAMES
                  if name not in self.free_params}
-        return fixed, tuple(zip(self.free_params, self.scales()))
+        beta_scale = max(self.cfg.B, _MIN_BETA_SCALE)
+        return fixed, tuple(
+            (name, None if name == "nu" else
+             beta_scale if name == "beta" else 1.0)
+            for name in self.free_params)
 
     def build_params(self, x: Sequence[float]) -> TrialParams:
         """Trial state at solver coordinates ``x``."""
         fixed, free = self._layout
-        return TrialParams(**fixed, **{name: v / s for (name, s), v
-                                       in zip(free, x)})
+        return TrialParams(**fixed, **{
+            name: math.exp(v) if s is None else v / s
+            for (name, s), v in zip(free, x)})
 
     def start_vector(self, start: TrialParams) -> list[float]:
         """Solver coordinates of ``start``."""
         vec = []
-        for name, s in zip(self.free_params, self.scales()):
+        for name, s in self._layout[1]:
             v = getattr(start, name)
-            vec.append(0.0 if v is None else v * s)
+            vec.append(_to_coordinate(0.0 if v is None else v, s))
         return vec
 
     def lower_bounds(self) -> list[float | None]:
         """L-BFGS-B lower bound of each solver coordinate (none above)."""
         bounds = admissible_bounds(self.cfg)
-        return [(bounds[name][0] + _STRICT_MARGIN * bounds[name][1]) * s
+        return [_to_coordinate(bounds[name][0]
+                               + _STRICT_MARGIN * bounds[name][1], s)
                 if name in bounds else None
-                for name, s in zip(self.free_params, self.scales())]
+                for name, s in self._layout[1]]
+
+    def chain_factors(self, params: TrialParams) -> np.ndarray:
+        """d(parameter)/d(solver coordinate) of each free parameter at
+        ``params``: 1/scale, or nu for ln nu."""
+        return np.array([params.nu if s is None else 1.0 / s
+                         for _, s in self._layout[1]])
+
+
+def _to_coordinate(value: float, scale: float | None) -> float:
+    return math.log(value) if scale is None else value * scale
 
 
 @dataclass(frozen=True)
@@ -172,6 +193,17 @@ def _stalled_at_minimum(objective, res) -> bool:
     return bool(0.5 * (w @ w) <= _ROUNDING_DECREASE * max(abs(res.fun), 1.0))
 
 
+def _objective(req: OptimizeRequest, rule: hamiltonian.FixedRule):
+    """E on ``rule`` and its gradient in solver coordinates, as a function
+    of those coordinates."""
+    def objective(x):
+        params = req.build_params(x)
+        e, grad = hamiltonian.energy_gradient(params, req.cfg, rule,
+                                              req.free_params)
+        return e, grad * req.chain_factors(params)
+    return objective
+
+
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
                       start_index: int,
                       rule: hamiltonian.FixedRule
@@ -181,12 +213,7 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
     lows = req.lower_bounds()
     x0 = [v if lo is None else max(v, lo) for v, lo in
           zip(req.start_vector(req.starts[start_index]), lows)]
-    scales = np.array(req.scales())
-
-    def objective(x):
-        e, grad = hamiltonian.energy_gradient(req.build_params(x), req.cfg,
-                                              rule, req.free_params)
-        return e, grad / scales
+    objective = _objective(req, rule)
 
     # Trial points with a huge |beta B| overflow exp and f^2 on the way to
     # a finite optimum; the reported energy below is checked as usual.
@@ -311,18 +338,21 @@ def _failed_record(cfg: SystemConfig) -> ScanRecord:
                       cusp_Z=nan, converged=False, evals=0)
 
 
-def _scan_point(cfg: SystemConfig, spec: QuadratureSpec) -> ScanRecord:
-    """``point_record(cfg, spec)``; a config that raises gives a NaN row."""
+def _scan_point(cfg: SystemConfig,
+                spec: QuadratureSpec) -> tuple[ScanRecord, str | None]:
+    """``point_record(cfg, spec)``; a config that raises gives a NaN row and
+    the reason, ``"<exception class>: <message>"``."""
     try:
-        return point_record(cfg, spec)
-    except Exception:
-        return _failed_record(cfg)
+        return point_record(cfg, spec), None
+    except Exception as exc:
+        return _failed_record(cfg), f"{type(exc).__name__}: {exc}"
 
 
 def scan(grid: Sequence[SystemConfig], spec: QuadratureSpec,
          jobs: int = 1) -> list[ScanRecord]:
     """One record per grid config under its own ``default_request``, in grid
-    order.
+    order, with one line on stderr for each row that failed and came out
+    NaN, saying why.
 
     Each record depends on its config alone, so ``jobs > 1`` runs the
     configs in a process pool and the records do not depend on ``jobs`` or
@@ -333,12 +363,19 @@ def scan(grid: Sequence[SystemConfig], spec: QuadratureSpec,
     tasks = [(cfg, spec) for cfg in grid]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [_scan_point(*task) for task in tasks]
-    # The default start method: under spawn each worker re-imports numpy and
-    # scipy, which costs more than a whole scan row at 64 nodes.
-    pool = multiprocessing.Pool(workers)
-    try:
-        return pool.starmap(_scan_point, tasks, chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
+        outcomes = [_scan_point(*task) for task in tasks]
+    else:
+        # The default start method: under spawn each worker re-imports numpy
+        # and scipy, which costs more than a whole scan row at 64 nodes.
+        pool = multiprocessing.Pool(workers)
+        try:
+            outcomes = pool.starmap(_scan_point, tasks, chunksize=1)
+        finally:
+            pool.close()
+            pool.join()
+    for record, reason in outcomes:
+        if reason is not None:
+            print(f"cylvar: warning: scan row B={format_float(record.B)} "
+                  f"rho0={format_float(record.rho0)} failed: {reason}",
+                  file=sys.stderr)
+    return [record for record, _ in outcomes]

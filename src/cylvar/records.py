@@ -54,7 +54,7 @@ def format_float(x) -> str:
 
 def format_row(rec: ScanRecord) -> list[str]:
     """The CSV fields of one record, as ``write_csv`` writes them."""
-    d = asdict(rec)
+    d = vars(rec)
     out = [format_float(d[k]) for k in _FLOAT_FIELDS]
     out.append("true" if rec.converged else "false")
     out.append(str(rec.evals))

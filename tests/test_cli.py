@@ -120,6 +120,22 @@ def test_scan_reruns_are_byte_identical(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_says_why_a_row_failed(jobs, tmp_path, capsys):
+    # At rho0 = 1e-200 the confinement energy overflows: the row is NaN in
+    # the CSV, and stderr names its B, rho0 and the reason, once.
+    path = tmp_path / "s.csv"
+    code, _, err = run(["scan", "--B-list", "1", "--rho0-list", "2,1e-200",
+                        "--nodes", "48", "--jobs", jobs, "--out", str(path)],
+                       capsys)
+    assert code == 0
+    assert err == ("cylvar: warning: scan row B=1 rho0=1e-200 failed: "
+                   "ValueError: rho0 = 1e-200 is too small: the confinement "
+                   "energy j01^2 / (2 rho0^2) overflows a double\n")
+    rows = read_csv(path)
+    assert math.isnan(rows[1].E) and not math.isnan(rows[0].E)
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"B": 0.0, "rho0": "2.0", "nodes": 48,
            "alpha": 1.0, "beta": 0.0, "nu": 2.0}

@@ -141,6 +141,17 @@ def test_energy_gradient_matches_central_differences(params, cfg, wrt):
     np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
+@pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
+def test_energy_is_the_gradient_kernel_with_no_derivatives(params, cfg, wrt):
+    # energy() and energy_gradient() take E from one matrix of moment sums.
+    rule = fixed_rule(params, cfg, SPEC)
+    br = energy(params, cfg, SPEC, rule)
+    e, grad = energy_gradient(params, cfg, rule, wrt)
+    assert br.total == pytest.approx(e, rel=1e-14)
+    assert br.kinetic + br.coulomb + br.zeeman_quadratic == br.total
+    assert grad.shape == (len(wrt),)
+
+
 def graded_grid(params, cfg, n=400):
     """An independent oracle rule: a 2-D tensor Gauss-Legendre rule in
     (rho, z >= 0), doubled by parity, graded by t^4 towards the axis and the
