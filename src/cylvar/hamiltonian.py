@@ -7,10 +7,12 @@ of f, f' and a few such moments of exp(-2 alpha r).  ``energy`` and
 ``energy_gradient`` take all their sums from one matrix product: the rows f,
 f' and each (df/dtheta, df'/dtheta) against the moment rows, which are the
 rule's parameter-free weights times one K0 and one K1 of 2 alpha rho; the
-rest is scalar algebra.  ``energy`` and ``observables`` work on a given rule
-or on the rule built at their parameters, and ``energy_gradient`` on a rule
-held fixed for one point.  No 2-D field of psi is formed;
-``trialfn.evaluate`` serves as the tests' node-by-node oracle.
+rest is scalar algebra.  ``observables`` takes its sums from the same moment
+rows, with one more row for |z| built from their weights.  ``energy`` and
+``observables`` work on a given rule or on the rule built at their
+parameters, and ``energy_gradient`` on a rule held fixed for one point.
+No 2-D field of psi is formed; ``trialfn.evaluate`` serves as the tests'
+node-by-node oracle.
 The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
 equivalent to -psi Lap psi / 2 under the Dirichlet wall and avoids second
 derivatives of the cut-off factor.  All expectation values are taken with
@@ -96,11 +98,11 @@ class FixedRule:
 
     rho: np.ndarray       # radial nodes
     rho2: np.ndarray      # rho^2
-    weight: np.ndarray    # 2 pi rho w_rho, times the 2 of z-parity
     x: np.ndarray | None  # rho/rho0 at finite rho0
     rho_max: float
-    # The moment rows of ``_rayleigh_sums`` are k0_weights K0(2 alpha rho),
-    # then k1_weights K1(2 alpha rho).
+    # The moment rows (``_moment_rows``) are k0_weights K0(2 alpha rho),
+    # then k1_weights K1(2 alpha rho).  Each weight row is a power of rho
+    # times w = 2 pi rho w_rho, times the 2 of z-parity.
     k0_weights: np.ndarray
     k1_weights: np.ndarray
 
@@ -128,7 +130,7 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
     w_rho2 = w_rho * rho
     w_rho3 = w_rho2 * rho
     return FixedRule(
-        rho=rho, rho2=rho2, weight=weight, x=x, rho_max=rho_max,
+        rho=rho, rho2=rho2, x=x, rho_max=rho_max,
         k0_weights=np.array([w_rho2, w_rho, weight, w_rho3 * rho]),
         k1_weights=np.array([w_rho, w_rho3, w_rho2]))
 
@@ -190,18 +192,15 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     return p, np.array(rows)
 
 
-def _moments(alpha: float, rule: FixedRule):
-    """The moments m_c = int c exp(-2 alpha r) dz over the whole z axis, times
-    the node weight, for c = 1, rho/r, r and 1/r.  With a = 2 alpha
+def _moment_rows(alpha: float, rule: FixedRule) -> np.ndarray:
+    """The rows M_R0 ... RHO_M1: moments m_c = int c exp(-2 alpha r) dz
+    over the whole z axis, times the node weight.  With a = 2 alpha
     (Gradshteyn-Ryzhik 3.961): m_1 = 2 rho K1(a rho), m_{rho/r} = 2 rho K0,
     m_r = 2 (rho^2 K0 + rho K1 / a) and m_{1/r} = 2 K0.  K0 and K1 cannot
     overflow at a rho > 0, and where they underflow so does the density."""
-    a = 2.0 * alpha
-    ar = a * rule.rho
-    m_inv_r = k0(ar) * rule.weight
-    m1 = rule.rho * (k1(ar) * rule.weight)
-    m_rho = rule.rho * m_inv_r
-    return m1, m_rho, rule.rho * m_rho + m1 / a, m_inv_r
+    ar = (2.0 * alpha) * rule.rho
+    return np.concatenate((rule.k0_weights * k0(ar),
+                           rule.k1_weights * k1(ar)))
 
 
 def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
@@ -223,10 +222,7 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     of them at once, and the rest is scalar algebra.
     """
     a = params.alpha
-    # The moments of ``_moments``, as the rows M_R0 ... RHO_M1.
-    ar = (2.0 * a) * rule.rho
-    moments = np.concatenate((rule.k0_weights * k0(ar),
-                              rule.k1_weights * k1(ar)))
+    moments = _moment_rows(a, rule)
     rows = _radial_factor(params, cfg, rule, wrt)[1]
     # s[u][v][m] = sum over the nodes of rows[u] rows[v] moments[m]
     s = ((rows[:2, None] * rows[None]) @ moments.T).tolist()
@@ -304,18 +300,21 @@ def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
 def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
                 rule: FixedRule | None = None) -> Observables:
     """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp,
-    from radial moments on the rule ``energy`` would take.
+    from the moment rows on the rule ``energy`` would take.
 
     The density is f^2 h^2 / N with N = sum f^2 m_1, so <rho> = sum f^2 rho
-    m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = int |z| h^2 dz =
-    2 exp(-a rho) (rho/a + 1/a^2), a = 2 alpha, and S = -<ln(f^2 h^2 / N)>
-    = ln N - (2/N) sum f^2 ln f m_1 + (2 alpha/N) sum f^2 m_r.
+    m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = int |z| h^2 dz times the
+    node weight w, = exp(-a rho) (w rho/a + w/a^2), a = 2 alpha, and
+    S = -<ln(f^2 h^2 / N)> = ln N - (2/N) sum f^2 ln f m_1 + (2 alpha/N)
+    sum f^2 m_r, where sum f^2 m_r = sum f^2 M_R0 + N / (2 alpha).
     """
     rule = _rule_for(params, cfg, spec, rule)
-    m1, _, m_r, _ = _moments(params.alpha, rule)
+    moments = _moment_rows(params.alpha, rule)
+    m1 = moments[M1]
     p, (f, _) = _radial_factor(params, cfg, rule, ())
     a = 2.0 * params.alpha
-    m_abs_z = rule.weight * np.exp(-a * rule.rho) * (rule.rho / a + 1.0 / a**2)
+    m_abs_z = np.exp(-a * rule.rho) * (rule.k0_weights[M_RHO] / a
+                                       + rule.k0_weights[M_INV_R] / a**2)
     f2 = f * f
     norm = float(f2 @ m1)
 
@@ -323,10 +322,10 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     # nodes, where f^2 ln f -> 0.
     ln_f = np.log(p) - params.beta * cfg.B * rule.rho2
 
-    mean_rho = float(f2 @ (rule.rho * m1)) / norm
+    mean_rho = float(f2 @ moments[RHO_M1]) / norm
     mean_abs_z = float(f2 @ m_abs_z) / norm
     shannon_r = (math.log(norm) - 2.0 * float((f2 * ln_f) @ m1) / norm
-                 + 2.0 * params.alpha * float(f2 @ m_r) / norm)
+                 + a * (float(f2 @ moments[M_R0]) + norm / a) / norm)
     return Observables(mean_rho=mean_rho,
                        mean_abs_z=mean_abs_z,
                        aspect_ratio=mean_rho / (2.0 * mean_abs_z),
@@ -350,14 +349,16 @@ def fit_large_rho0_tail(records):
     """Fit E(rho0) ~ -1/2 + A / rho0^exponent on large-radius B=0 data.
 
     ``records`` is an iterable of (rho0, E) pairs with rho0 >= 2.5.
-    Returns (A, exponent).  Entries with E <= -1/2 (below the free-atom
-    limit, hence outside the model) are dropped with a warning.
+    Returns (A, exponent).  Entries outside the model, with E <= -1/2
+    (below the free-atom limit) or rho0 = inf (where ln rho0 is not
+    finite), are dropped with a warning.
     """
     kept = []
     for rho0, e in records:
-        if e <= -0.5:
-            warnings.warn(f"dropping record (rho0={rho0}, E={e}): "
-                          "E <= -0.5 is outside the tail model")
+        if e <= -0.5 or not math.isfinite(rho0):
+            warnings.warn(f"dropping record (rho0={rho0}, E={e}): outside "
+                          "the tail model, which needs a finite rho0 and "
+                          "E > -0.5")
             continue
         kept.append((rho0, e))
     if len(kept) < 3:

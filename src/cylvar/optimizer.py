@@ -1,11 +1,14 @@
 """Gradient-based minimization of the Rayleigh quotient.
 
-Bounded L-BFGS-B over the selected free parameters, on the analytic energy
-gradient of one radial quadrature rule held fixed for each point.  Each point
-is one solve per basin of the energy (two when beta and nu are both free,
-else one), each from its own start; the other starts run only when one of
-those solves ends unconverged or on a bound.  Bounds taken from
-``trialfn.admissible_bounds`` keep every proposal admissible.
+Bounded L-BFGS-B over the free parameters, on the analytic energy gradient
+of one radial quadrature rule held fixed for each point.  A request names
+only what it pins; every other parameter that acts at its (B, rho0) is free
+(``OptimizeRequest.free_params``), and one that acts on nothing there keeps
+its ``TrialParams`` default.  Each point is one solve per basin of the
+energy (two when beta and nu are both free, else one), each from its own
+start; the other starts run only when one of those solves ends unconverged
+or on a bound.  Bounds taken from ``trialfn.admissible_bounds`` keep every
+proposal admissible.
 
 L-BFGS-B depends on how its coordinates are scaled (Byrd, Lu, Nocedal & Zhu,
 SIAM J. Sci. Comput. 16, 1995), so the solver steps in alpha, beta*B, ln nu
@@ -90,8 +93,10 @@ _STRICT_MARGIN = 1e-8
 
 @dataclass(frozen=True)
 class OptimizeRequest:
+    """Minimize E at ``cfg`` over every parameter that acts there and is not
+    pinned in ``fixed_values``; see ``free_params``."""
+
     cfg: SystemConfig
-    free_params: tuple[str, ...]
     fixed_values: Mapping[str, float]
     starts: tuple[TrialParams, ...] = DEFAULT_STARTS
     # Starts whose energies lie this close to the lowest are tied.
@@ -100,47 +105,45 @@ class OptimizeRequest:
     def __post_init__(self):
         if not self.starts:
             raise ValueError("at least one start is required")
-        unknown = set(self.free_params) - set(_PARAM_NAMES)
+        unknown = set(self.fixed_values) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown parameter names: {sorted(unknown)}")
         check_admissible(self.fixed_values, self.cfg)
-        for name in ("alpha", "beta", "nu"):
-            if name not in self.free_params and name not in self.fixed_values:
-                raise ValueError(f"parameter {name!r} is neither free nor fixed")
-        if self.cfg.B == 0 and "beta" in self.free_params:
-            raise ValueError("at B = 0 beta must be fixed to 0")
-        if "gamma" in self.free_params and not math.isinf(self.cfg.rho0):
-            raise ValueError("gamma only applies to the rho0 = inf variant")
-        if "nu" in self.free_params and math.isinf(self.cfg.rho0):
-            raise ValueError("nu has no effect at rho0 = inf; fix it")
 
     @cached_property
-    def _layout(self) -> tuple[dict, tuple[tuple[str, float | None], ...]]:
-        """The fixed values of every parameter that is not free (gamma None
-        when unset), and (name, scale) of each free one: its solver
-        coordinate is scale times the parameter, or ln nu for a scale of
-        None.  Resolved once, since ``build_params`` runs on every objective
-        evaluation.  The floor on B in beta's scale keeps beta = x/B
-        finite."""
-        fixed = {name: self.fixed_values.get(name) for name in _PARAM_NAMES
-                 if name not in self.free_params}
+    def free_params(self) -> tuple[str, ...]:
+        """The parameters the solves vary: those of alpha, beta, nu and
+        gamma that act at ``cfg`` and are not pinned.  beta acts only as
+        beta*B, so at B > 0; nu only through the cut-off, at finite rho0;
+        gamma only at rho0 = inf.  One that does not act keeps its pinned
+        value, else its ``TrialParams`` default."""
+        acting = ("alpha", "beta",
+                  "gamma" if math.isinf(self.cfg.rho0) else "nu")
+        return tuple(name for name in acting
+                     if name not in self.fixed_values
+                     and (name != "beta" or self.cfg.B > 0))
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[str, float | None], ...]:
+        """(name, scale) of each free parameter: its solver coordinate is
+        scale times the parameter, or ln nu for a scale of None.  Resolved
+        once, since ``build_params`` runs on every objective evaluation.
+        The floor on B in beta's scale keeps beta = x/B finite."""
         beta_scale = max(self.cfg.B, _MIN_BETA_SCALE)
-        return fixed, tuple(
-            (name, None if name == "nu" else
-             beta_scale if name == "beta" else 1.0)
-            for name in self.free_params)
+        return tuple((name, None if name == "nu" else
+                      beta_scale if name == "beta" else 1.0)
+                     for name in self.free_params)
 
     def build_params(self, x: Sequence[float]) -> TrialParams:
         """Trial state at solver coordinates ``x``."""
-        fixed, free = self._layout
-        return TrialParams(**fixed, **{
+        return TrialParams(**self.fixed_values, **{
             name: math.exp(v) if s is None else v / s
-            for (name, s), v in zip(free, x)})
+            for (name, s), v in zip(self._layout, x)})
 
     def start_vector(self, start: TrialParams) -> list[float]:
         """Solver coordinates of ``start``."""
         vec = []
-        for name, s in self._layout[1]:
+        for name, s in self._layout:
             v = getattr(start, name)
             vec.append(_to_coordinate(0.0 if v is None else v, s))
         return vec
@@ -151,13 +154,13 @@ class OptimizeRequest:
         return [_to_coordinate(bounds[name][0]
                                + _STRICT_MARGIN * bounds[name][1], s)
                 if name in bounds else None
-                for name, s in self._layout[1]]
+                for name, s in self._layout]
 
     def chain_factors(self, params: TrialParams) -> np.ndarray:
         """d(parameter)/d(solver coordinate) of each free parameter at
         ``params``: 1/scale, or nu for ln nu."""
         return np.array([params.nu if s is None else 1.0 / s
-                         for _, s in self._layout[1]])
+                         for _, s in self._layout])
 
 
 def _to_coordinate(value: float, scale: float | None) -> float:
@@ -245,8 +248,8 @@ def _select_best(candidates: Sequence[OptimizeResult],
 
 def _basins(req: OptimizeRequest) -> int:
     """Starts ``minimize`` always solves from: one per basin of the energy
-    (see ``DEFAULT_STARTS``).  With beta pinned (B = 0) or nu inert
-    (rho0 = inf) every start reaches the same optimum."""
+    (see ``DEFAULT_STARTS``).  With beta inert (B = 0) or pinned, or nu
+    inert (rho0 = inf) or pinned, every start reaches the same optimum."""
     return 2 if {"beta", "nu"} <= set(req.free_params) else 1
 
 
@@ -288,24 +291,11 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
 def default_request(
         cfg: SystemConfig,
         fixed: Mapping[str, float] | None = None) -> OptimizeRequest:
-    """Standard request for one config: optimize whatever is not pinned.
-
-    ``fixed`` pins parameters to user-supplied values; beta is pinned to 0
-    at B = 0 and the cut-off exponent is inert for rho0 = inf.
-    """
-    fixed = dict(fixed or {})
-    if math.isinf(cfg.rho0):
-        candidates = ["alpha", "beta", "gamma"]
-        fixed.setdefault("nu", 2.0)  # cut-off absent; value is inert
-        starts = INF_STARTS
-    else:
-        candidates = ["alpha", "beta", "nu"]
-        starts = DEFAULT_STARTS
-    if cfg.B == 0:
-        fixed.setdefault("beta", 0.0)
-    free = tuple(name for name in candidates if name not in fixed)
-    return OptimizeRequest(cfg=cfg, free_params=free, fixed_values=fixed,
-                           starts=starts)
+    """Standard request for one config: optimize whatever acts there and is
+    not pinned in ``fixed``, from the starts for finite or infinite rho0."""
+    return OptimizeRequest(
+        cfg=cfg, fixed_values=dict(fixed or {}),
+        starts=INF_STARTS if math.isinf(cfg.rho0) else DEFAULT_STARTS)
 
 
 def point_record(cfg: SystemConfig, spec: QuadratureSpec,

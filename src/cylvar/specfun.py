@@ -52,10 +52,13 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
     def g(e0: float) -> float:
         return kummer_m(-(e0 / B - 0.5), 1.0, z)
 
-    hi = 0.5 * B + drum
+    lo, hi = max(0.5 * B, drum), 0.5 * B + drum
+    if lo == hi:
+        # drum is below the rounding of B/2: the bracket is one double.
+        return hi
     if not math.isfinite(g(hi)):
         # hyp1f1 overflows for z above ~710, where the root lies within
         # z*exp(-z) of the Landau level.
         return 0.5 * B
-    return float(brentq(g, max(0.5 * B, drum), hi, xtol=1e-14 * hi,
+    return float(brentq(g, lo, hi, xtol=1e-14 * hi,
                         rtol=1e-14))

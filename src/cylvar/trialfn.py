@@ -53,8 +53,8 @@ class SystemConfig:
     coulomb_on: bool = True
 
     def __post_init__(self):
-        if self.B < 0:
-            raise ValueError("B must be non-negative")
+        if not 0 <= self.B < math.inf:
+            raise ValueError(f"B = {self.B!r} must be finite and non-negative")
         if not self.rho0 > 0:
             raise ValueError("rho0 must be positive (possibly inf)")
 

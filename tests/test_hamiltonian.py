@@ -272,10 +272,12 @@ def test_tail_fit_rejects_short_input():
 def test_tail_fit_drops_points_below_free_limit():
     records = [(r, -0.5 + 0.4 / r**2) for r in (2.5, 3.0, 3.5, 4.0)]
     records.append((5.0, -0.51))
+    records.append((math.inf, -0.4999))  # ln rho0 is not finite
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         amp, expo = fit_large_rho0_tail(records)
-    assert any("outside the tail model" in str(w.message) for w in caught)
+    assert sum("outside the tail model" in str(w.message)
+               for w in caught) == 2
     assert expo == pytest.approx(2.0, abs=1e-9)
 
 

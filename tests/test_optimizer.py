@@ -148,6 +148,7 @@ def test_zero_field_scan_evals_per_point():
     (SystemConfig(B=0.0, rho0=2.0), ("alpha", "nu")),
     (SystemConfig(B=0.4, rho0=2.0), ("alpha", "beta", "nu")),
     (SystemConfig(B=0.5, rho0=math.inf), ("alpha", "beta", "gamma")),
+    (SystemConfig(B=0.0, rho0=math.inf), ("alpha", "gamma")),
 ])
 def test_objective_gradient_is_in_solver_coordinates(cfg, names):
     # The solver steps in alpha, beta*B, ln nu and gamma: the gradient it
@@ -287,24 +288,12 @@ def test_unconfined_zero_field_reaches_free_atom():
 def test_request_validation():
     cfg = SystemConfig(B=0.0, rho0=2.0)
     with pytest.raises(ValueError):
-        OptimizeRequest(cfg=cfg, free_params=("alpha",),
-                        fixed_values={"beta": 0.0, "nu": 2.0}, starts=())
-    with pytest.raises(ValueError):  # beta must be pinned to 0 at B = 0
-        OptimizeRequest(cfg=cfg, free_params=("alpha", "beta"),
-                        fixed_values={"nu": 2.0})
-    with pytest.raises(ValueError):  # gamma needs rho0 = inf
-        OptimizeRequest(cfg=cfg, free_params=("alpha", "gamma"),
-                        fixed_values={"beta": 0.0, "nu": 2.0})
-    with pytest.raises(ValueError):  # nu is inert at rho0 = inf
-        OptimizeRequest(cfg=SystemConfig(B=0.0, rho0=math.inf),
-                        free_params=("alpha", "nu"),
-                        fixed_values={"beta": 0.0})
-    with pytest.raises(ValueError):  # nu neither free nor fixed
-        OptimizeRequest(cfg=cfg, free_params=("alpha",),
-                        fixed_values={"beta": 0.0})
-    with pytest.raises(ValueError):
-        OptimizeRequest(cfg=cfg, free_params=("zeta",),
-                        fixed_values={"alpha": 1, "beta": 0.0, "nu": 2.0})
+        OptimizeRequest(cfg=cfg, fixed_values={"beta": 0.0, "nu": 2.0},
+                        starts=())
+    with pytest.raises(ValueError, match="zeta"):
+        default_request(cfg, fixed={"zeta": 1.0})
+    # beta acts only at B > 0: pinning alpha leaves nu alone free
+    assert default_request(cfg, fixed={"alpha": 1.1}).free_params == ("nu",)
     # pinned values outside the admissible set
     for fixed in ({"alpha": 0.0}, {"nu": 0.5}, {"gamma": 0.3},
                   {"beta": 0.3}):

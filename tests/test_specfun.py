@@ -33,10 +33,13 @@ def test_kummer_recurrence():
             assert abs(resid) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("B, rho0", [(2.0, 40.0), (1.0, 60.0)])
+@pytest.mark.parametrize("B, rho0", [(2.0, 40.0), (1.0, 60.0),
+                                     (2e16, 2.0), (2e13, 60.0)])
 def test_large_z_is_the_landau_level(B, rho0):
     # z = B rho0^2 / 2 = 1600 and 1800: hyp1f1 overflows above z ~ 710,
-    # where the root lies within z exp(-z) of B/2.
+    # where the root lies within z exp(-z) of B/2.  In the last two the drum
+    # energy j01^2 / (2 rho0^2) is below the rounding of B/2, and the
+    # bracket [B/2, B/2 + drum] is one double.
     assert landau_cylinder_energy(B, rho0) == 0.5 * B
 
 

@@ -63,7 +63,8 @@ def test_rho_outside_cavity_raises():
         evaluate(TrialParams(alpha=1.0), cfg, 2.5, 0.0)
 
 
-@pytest.mark.parametrize("bad", [dict(B=-0.1), dict(rho0=0.0),
+@pytest.mark.parametrize("bad", [dict(B=-0.1), dict(B=math.nan),
+                                 dict(B=math.inf), dict(rho0=0.0),
                                  dict(rho0=math.nan)])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
