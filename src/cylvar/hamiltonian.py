@@ -4,13 +4,14 @@ psi = f(rho) exp(-alpha r), so the z integral of every term is a modified
 Bessel function of 2 alpha rho in closed form, and every integral the energy
 and the observables need is a sum over the radial nodes of a ``FixedRule``
 of f, f' and a few such moments of exp(-2 alpha r).  ``energy`` and
-``energy_gradient`` take all their sums from one matrix product: the rows f,
-f' and each (df/dtheta, df'/dtheta) against the moment rows, which are the
-rule's parameter-free weights times one K0 and one K1 of 2 alpha rho; the
-rest is scalar algebra.  ``observables`` takes its sums from the same moment
-rows, with one more row for |z| built from their weights.  ``energy`` and
+``energy_derivatives`` (E, its gradient and its Hessian) take all their sums
+from one matrix product: the rows f, f' and their first and second
+parameter derivatives against the moment rows, which are the rule's
+parameter-free weights times one K0 and one K1 of 2 alpha rho; the rest is
+scalar algebra.  ``observables`` takes its sums from the same moment rows,
+with one more row for |z| built from their weights.  ``energy`` and
 ``observables`` work on a given rule or on the rule built at their
-parameters, and ``energy_gradient`` on a rule held fixed for one point.
+parameters, and ``energy_derivatives`` on a rule held fixed for one point.
 No 2-D field of psi is formed; ``trialfn.evaluate`` serves as the tests'
 node-by-node oracle.
 The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
@@ -41,7 +42,7 @@ __all__ = [
     "energy",
     "FixedRule",
     "fixed_rule",
-    "energy_gradient",
+    "energy_derivatives",
     "observables",
     "reference_energy",
     "binding_energy",
@@ -147,13 +148,13 @@ def _rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
 def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
     """The prefactor p(rho), and on the radial nodes the rows f, f' of
-    f = p exp(-beta*B*rho^2) followed by df/dtheta, df'/dtheta for each
-    theta in ``wrt`` other than alpha, as an array of shape (2k, n_rho).
+    f = p exp(-beta*B*rho^2), then df/dtheta, df'/dtheta for each theta in
+    ``wrt`` other than alpha, then d2f/dtheta dphi, d2f'/dtheta dphi for
+    each pair theta <= phi of those in order, as an array (2k, n_rho).
 
-    Each pair of rows is (q G, (q G)') for a prefactor q and
-    G = exp(-beta*B*rho^2): q = p for f, and dp/dtheta for theta = nu or
-    gamma.  beta acts through G, but since dG/dbeta = -B rho^2 G its q is
-    -B rho^2 p."""
+    Each pair of rows is (q G, (q G)') for G = exp(-beta*B*rho^2) and a
+    prefactor q: p, or its derivative in nu or gamma.  beta acts through G
+    alone, and each derivative in it multiplies q by -B rho^2."""
     rho = rule.rho
     B = cfg.B
     if rule.x is None:
@@ -176,19 +177,33 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
             return q, dq
 
     rows = [*times_gauss(p, dp)]
-    for name in wrt:
-        if name == "alpha":
-            continue  # alpha enters through the moments alone
-        if name == "beta":
-            rows += times_gauss(-B * rule.rho2 * p,
-                                -B * (2.0 * rho * p + rule.rho2 * dp))
-        elif name == "nu":
-            rows += times_gauss(-x_nu * rule.ln_x,
-                                dp * (rule.ln_x + 1.0 / params.nu))
-        elif name == "gamma":
-            rows += times_gauss(2.0 * g * rule.rho2, 4.0 * g * rho)
-        else:
-            raise ValueError(f"unknown parameter name: {name!r}")
+    names = [name for name in wrt if name != "alpha"]
+    if names:
+        if not set(names) <= {"beta", "gamma" if rule.x is None else "nu"}:
+            raise ValueError(f"unknown parameter names: {names}")
+        # d1, d2: (q G, (q G)') for q = dp/dgamma and d2p/dgamma2, or in nu
+        if rule.x is None:
+            d1 = times_gauss(2.0 * g * rule.rho2, 4.0 * g * rho)
+            d2 = times_gauss(2.0 * rule.rho2, 4.0 * rho)
+        elif "nu" in names:
+            ln_x = rule.ln_x
+            p_nu = -x_nu * ln_x
+            d1 = times_gauss(p_nu, dp * (ln_x + 1.0 / params.nu))
+            d2 = times_gauss(p_nu * ln_x,
+                             dp * ln_x * (ln_x + 2.0 / params.nu))
+
+        def times_b(f, df):
+            """d/dbeta of (f, f'): (b f, (b f)') for b = -B rho^2."""
+            b = -B * rule.rho2
+            return b * f, b * df - (2.0 * B) * rho * f
+
+        first = [times_b(*rows[:2]) if name == "beta" else d1
+                 for name in names]
+        second = [times_b(*first[j]) if name == "beta" else
+                  times_b(*first[i]) if names[j] == "beta" else d2
+                  for i, name in enumerate(names)
+                  for j in range(i, len(names))]
+        rows += [row for pair in first + second for row in pair]
     return p, np.array(rows)
 
 
@@ -205,28 +220,31 @@ def _moment_rows(alpha: float, rule: FixedRule) -> np.ndarray:
 
 def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
-    """N, the numerators of the kinetic, Coulomb and Zeeman terms, E and
-    dE/dtheta for theta in ``wrt``, from one matrix of moment sums.
+    """N, the numerators of the kinetic, Coulomb and Zeeman terms, E, and
+    dE/dtheta and d2E/dtheta dphi for theta, phi in ``wrt``.
 
     |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2] with
     h = exp(-alpha r), so N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1
     - 2 alpha sum f f' m_{rho/r}, V = sum f^2 (B^2 rho^2/8 m_1 - m_{1/r})
-    and E = (K/2 + V)/N, exact for the rule's nodes and weights.  Besides
-    the explicit alpha in K, d/dalpha acts on the moments alone (dm_1 =
-    -2 m_r, dm_{rho/r} = -2 rho m_1, dm_{1/r} = -2 m_1), and the other
-    parameters act on f and f' alone, through N dE/df = alpha^2 f m_1
-    - alpha f' m_{rho/r} + 2 f (B^2 rho^2/8 m_1 - m_{1/r} - E m_1) and
-    N dE/df' = f' m_1 - alpha f m_{rho/r} at each node.  Every one of these
-    is a sum of u v m over the nodes, u in (f, f') and v in (f, f' and each
-    df/dtheta, df'/dtheta), for a moment row m: the product below forms all
-    of them at once, and the rest is scalar algebra.
+    and E = (K/2 + V)/N, exact for the rule's nodes and weights.  K/2 + V
+    and N are quadratic forms A and M in (f, f'); with L = A - E M at E held
+    fixed, N E_theta = L_theta and N E_theta,phi = L_theta,phi
+    - E_theta N_phi - E_phi N_theta.  The parameters other than alpha act
+    on f alone: L_theta = 2 L(f, f_theta) and L_theta,phi = 2 L(f_theta,
+    f_phi) + 2 L(f, f_theta,phi).  alpha acts through the explicit alpha in
+    K and through the moments, dm_c/dalpha = -2 m_{r c}.  Each term is a
+    sum of u v m over the nodes, u in (f, f' and each f_theta, f'_theta),
+    v a row of ``_radial_factor`` and m a moment row: one product forms
+    all but two, which only d2E/dalpha2 needs, and the rest is scalar
+    algebra.
     """
     a = params.alpha
     moments = _moment_rows(a, rule)
     rows = _radial_factor(params, cfg, rule, wrt)[1]
+    first = 2 * (len(wrt) + 1 - ("alpha" in wrt))  # rows of f and each f_theta
     # s[u][v][m] = sum over the nodes of rows[u] rows[v] moments[m]
-    s = ((rows[:2, None] * rows[None]) @ moments.T).tolist()
-    (ff, fdf, *_), (_, dfdf, *_) = s
+    s = ((rows[:first, None] * rows[None]) @ moments.T).tolist()
+    ff, fdf, dfdf = s[0][0], s[0][1], s[1][1]
     norm = ff[M1]
     kinetic = 0.5 * (dfdf[M1] + a * a * norm) - a * fdf[M_RHO]
     coulomb = -ff[M_INV_R] if cfg.coulomb_on else 0.0
@@ -235,37 +253,71 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     # A norm that underflows to 0 gives a non-finite E, as in numpy.
     inv_norm = 1.0 / norm if norm else math.inf
     e = (kinetic + coulomb + zeeman) * inv_norm
-    grad = []
-    k = 2
-    for name in wrt:
-        if name == "alpha":
-            # N dE/dalpha = d(K/2 + V)/dalpha - E dN/dalpha, with
-            # m_r = M_R0 + m_1 / (2 alpha)
-            half_a = 0.5 / a
-            mr = ff[M_R0] + half_a * norm
-            n_grad = (-(dfdf[M_R0] + half_a * dfdf[M1]) - a * a * mr
-                      - 2.0 * z * (ff[R2_MR0] + half_a * ff[R2_M1])
-                      + 2.0 * e * mr
-                      + a * norm - fdf[M_RHO] + 2.0 * a * fdf[RHO_M1])
-            if cfg.coulomb_on:
-                n_grad += 2.0 * norm  # -sum f^2 dm_{1/r}
-        else:
-            # sum d0 N dE/df + d1 N dE/df' for (d0, d1) = rows k, k + 1
-            (f_d0, f_d1), (df_d0, df_d1) = (row[k:k + 2] for row in s)
-            k += 2
-            n_grad = (a * a * f_d0[M1] - a * df_d0[M_RHO]
-                      + 2.0 * (z * f_d0[R2_M1] - e * f_d0[M1])
-                      + df_d1[M1] - a * f_d1[M_RHO])
-            if cfg.coulomb_on:
-                n_grad -= 2.0 * f_d0[M_INV_R]
-        grad.append(n_grad * inv_norm)
-    return norm, kinetic, coulomb, zeeman, e, grad
+    if not wrt:
+        return norm, kinetic, coulomb, zeeman, e, [], []
+    names = [name for name in wrt if name != "alpha"]
+    cz = 1.0 if cfg.coulomb_on else 0.0
+
+    def lag(i, j):
+        """L(u, v) for u, v the functions of the row pairs from i and j."""
+        b00, b01, b10, b11 = s[i][j], s[i][j + 1], s[i + 1][j], s[i + 1][j + 1]
+        return (0.5 * (b11[M1] + a * a * b00[M1])
+                - 0.5 * a * (b01[M_RHO] + b10[M_RHO])
+                + z * b00[R2_M1] - cz * b00[M_INV_R] - e * b00[M1])
+
+    def lag_alpha(j):
+        """dL(f, v)/dalpha and dM(f, v)/dalpha, v of the row pair from j."""
+        b00, b01, b10, b11 = s[0][j], s[0][j + 1], s[1][j], s[1][j + 1]
+        dm1 = -2.0 * b00[M_R0] - b00[M1] / a
+        return (-b11[M_R0] - 0.5 * b11[M1] / a + a * b00[M1]
+                + (0.5 * a * a - e) * dm1
+                - 0.5 * (b01[M_RHO] + b10[M_RHO])
+                + a * (b01[RHO_M1] + b10[RHO_M1])
+                - z * (2.0 * b00[R2_MR0] + b00[R2_M1] / a)
+                + 2.0 * cz * b00[M1]), dm1
+
+    def d2m1(b):
+        """b against d2m_1/dalpha^2 = 4 m_{r^2}: m_{r^2} = 2 rho^3 times
+        -K0'''(2 alpha rho) = rho^2 m_1 + M_R0/2 alpha + m_1/2 alpha^2."""
+        return 4.0 * b[R2_M1] + 2.0 * (b[M_R0] + b[M1] / a) / a
+
+    # the row pair of each parameter's df/dtheta; None for alpha
+    at = [None if name == "alpha" else 2 + 2 * names.index(name)
+          for name in wrt]
+    dl_dn = [lag_alpha(0) if i is None else (2.0 * lag(0, i),
+                                             2.0 * s[0][i][M1]) for i in at]
+    grad = [dl * inv_norm for dl, _ in dl_dn]
+    second = iter(range(first, len(rows), 2))  # in _radial_factor's order
+    hess = [[0.0] * len(wrt) for _ in wrt]
+    for i, ri in enumerate(at):
+        for j in range(i, len(wrt)):
+            rj = at[j]
+            if ri is None and rj is None:
+                # d2m_{rho/r} = 4 rho m_r and d2(rho^2 m_1) = 4 rho^2 m_{r^2}
+                # need sum f f' rho M_R0 and sum f^2 rho^4 m_1, which no
+                # other term does: they are summed here, not in the product
+                f, df = rows[0], rows[1]
+                f_df_rho_mr0 = float((f * df * rule.rho) @ moments[M_R0])
+                f2_rho4_m1 = float((f * f * rule.rho2) @ moments[R2_M1])
+                d2l = (0.5 * d2m1(dfdf) + norm + 2.0 * a * dl_dn[i][1]
+                       + (0.5 * a * a - e) * d2m1(ff)
+                       + 2.0 * fdf[RHO_M1] - 4.0 * a * f_df_rho_mr0
+                       + z * (4.0 * f2_rho4_m1
+                              + 2.0 * (ff[R2_MR0] + ff[R2_M1] / a) / a)
+                       - cz * (4.0 * ff[M_R0] + 2.0 * norm / a))
+            elif ri is None or rj is None:
+                d2l = 2.0 * lag_alpha(rj if ri is None else ri)[0]
+            else:
+                d2l = 2.0 * (lag(ri, rj) + lag(0, next(second)))
+            hess[i][j] = hess[j][i] = (d2l - grad[i] * dl_dn[j][1]
+                                       - grad[j] * dl_dn[i][1]) * inv_norm
+    return norm, kinetic, coulomb, zeeman, e, grad, hess
 
 
 def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
            rule: FixedRule | None = None) -> EnergyBreakdown:
     """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state: the
-    moment sums of ``energy_gradient`` on ``rule`` when it reaches as far
+    moment sums of ``energy_derivatives`` on ``rule`` when it reaches as far
     as the density at ``params``, else on the rule built at ``params``.
 
     Raises ValueError for parameters outside the admissible set, and
@@ -274,8 +326,8 @@ def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     """
     check_admissible(vars(params), cfg)
     rule = _rule_for(params, cfg, spec, rule)
-    norm, kinetic, coulomb, zeeman, _, _ = _rayleigh_sums(params, cfg, rule,
-                                                          ())
+    norm, kinetic, coulomb, zeeman = _rayleigh_sums(params, cfg, rule,
+                                                    ())[:4]
     if not (math.isfinite(norm) and norm > 0):
         raise ArithmeticError(f"trial norm {norm:g} on the quadrature grid "
                               f"at {params}")
@@ -289,12 +341,13 @@ def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
                            zeeman_quadratic=zeeman, total=total, norm=norm)
 
 
-def energy_gradient(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
-                    wrt: tuple[str, ...]) -> tuple[float, np.ndarray]:
-    """Rayleigh quotient E on a fixed rule and dE/dtheta for theta in
-    ``wrt``, from the sums of ``_rayleigh_sums``."""
-    *_, e, grad = _rayleigh_sums(params, cfg, rule, wrt)
-    return e, np.array(grad)
+def energy_derivatives(params: TrialParams, cfg: SystemConfig,
+                       rule: FixedRule, wrt: tuple[str, ...]
+                       ) -> tuple[float, list[float], list[list[float]]]:
+    """Rayleigh quotient E on a fixed rule, dE/dtheta and the Hessian
+    d2E/dtheta dphi for theta, phi in ``wrt``, from the sums of
+    ``_rayleigh_sums``."""
+    return _rayleigh_sums(params, cfg, rule, wrt)[4:]
 
 
 def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,

@@ -1,23 +1,21 @@
-"""Gradient-based minimization of the Rayleigh quotient.
+"""Projected Newton minimization of the Rayleigh quotient.
 
-Bounded L-BFGS-B over the free parameters, on the analytic energy gradient
-of one radial quadrature rule held fixed for each point.  A request names
-only what it pins; every other parameter that acts at its (B, rho0) is free
-(``OptimizeRequest.free_params``), and one that acts on nothing there keeps
-its ``TrialParams`` default.  Each point is one solve per basin of the
-energy (two when beta and nu are both free, else one), each from its own
-start; the other starts run only when one of those solves ends unconverged
-or on a bound.  Bounds taken from ``trialfn.admissible_bounds`` keep every
-proposal admissible.
+Newton steps on the exact gradient and Hessian of E
+(``hamiltonian.energy_derivatives``) on one radial quadrature rule held
+fixed for each point.  A request names only what it pins; every other
+parameter that acts at its (B, rho0) is free (``OptimizeRequest.free_params``),
+and one that acts on nothing there keeps its ``TrialParams`` default.  Each
+point is one solve per basin of the energy (two when beta and nu are both
+free, else one), each from its own start; the other starts run only when
+one of those solves ends unconverged or on a bound.  Lower bounds from
+``trialfn.admissible_bounds`` keep every step admissible.
 
-L-BFGS-B depends on how its coordinates are scaled (Byrd, Lu, Nocedal & Zhu,
-SIAM J. Sci. Comput. 16, 1995), so the solver steps in alpha, beta*B, ln nu
-and gamma.  psi depends on beta only through beta*B; in beta the gradient
-shrinks with B, and at small B it passes gtol far from the optimum.  In nu
-the curvature of E falls as nu grows (its Hessian's eigenvalues in linear nu
-are 1.2e-4, 0.43 and 3.3 at the sharp optimum at (B, rho0) = (0.4, 2)), so
-the solves crept, and at large rho0 stopped at their start's nu; ln nu needs
-no tuning constant, and nu >= 1 is the box bound ln nu >= 0.
+The solver steps in alpha, beta*B, ln nu and gamma: psi depends on beta
+only through beta*B, and E flattens in nu as nu grows, so a step in ln nu
+reaches further where E is flat; nu >= 1 is the bound ln nu >= 0.  scipy
+offers no bounded method on an exact Hessian at this cost (``trust-exact``
+has no bounds and spends several kernel evaluations' time per iteration
+outside the objective), so the loop is hand-written on Python floats.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from functools import cached_property
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import hamiltonian
 from .hamiltonian import EnergyBreakdown
@@ -72,22 +68,19 @@ INF_STARTS = (
     TrialParams(alpha=0.9, beta=0.25, nu=2.0, gamma=0.5),
 )
 
-# L-BFGS-B stopping rule.  An ftol near double precision settles E to about
-# 1e-12.  At large rho0 E hardly depends on nu (by about 1e-9 at rho0 = 13),
-# and a gtol of 1e-8 stops nu far from its optimum there.
-_FTOL = 1e-14
-_GTOL = 1e-10
-# A gtol of 1e-10 is below what double precision certifies for E of order
-# 1, so a solve may instead end in a failed line search (L-BFGS-B status 2)
-# at a point where rounding hides every descent direction.  Such a stall
-# counts as converged when the quadratic model of E there is convex and its
-# decrease is within the rounding of E (see _stalled_at_minimum).
-_LINE_SEARCH_FAILED = 2
-_HESSIAN_STEP = 1e-6  # forward difference, relative to max(1, |x|)
-_ROUNDING_DECREASE = 64 * np.finfo(float).eps  # relative to max(|E|, 1)
+# A solve stops at a point where the Hessian of E over the free coordinates
+# is positive definite and the Newton decrement g^T H^-1 g / 2 is within
+# the rounding of E.
+_ROUNDING_DECREASE = 64 * sys.float_info.epsilon  # relative to max(|E|, 1)
 _MAX_EVALS = 2000  # objective evaluations per solve
+_ARMIJO = 1e-4  # accepted decrease, as a fraction of g^T (x_new - x)
+# Largest step in ln nu, and in beta*B times rho_max^2 (the Gaussian's
+# exponent at the rule's edge): far from its optimum E can be flat in
+# either, and a Newton step there unbounded.
+_MAX_LN_NU_STEP = 1.0
+_MAX_GAUSS_STEP = 64.0
 _MIN_BETA_SCALE = 1e-150  # see OptimizeRequest._layout
-# L-BFGS-B takes closed bounds: a strict one moves this far inside.
+# The box is closed: a strict bound moves this far inside.
 _STRICT_MARGIN = 1e-8
 
 
@@ -149,18 +142,12 @@ class OptimizeRequest:
         return vec
 
     def lower_bounds(self) -> list[float | None]:
-        """L-BFGS-B lower bound of each solver coordinate (none above)."""
+        """Lower bound of each solver coordinate (none above)."""
         bounds = admissible_bounds(self.cfg)
         return [_to_coordinate(bounds[name][0]
                                + _STRICT_MARGIN * bounds[name][1], s)
                 if name in bounds else None
                 for name, s in self._layout]
-
-    def chain_factors(self, params: TrialParams) -> np.ndarray:
-        """d(parameter)/d(solver coordinate) of each free parameter at
-        ``params``: 1/scale, or nu for ln nu."""
-        return np.array([params.nu if s is None else 1.0 / s
-                         for _, s in self._layout])
 
 
 def _to_coordinate(value: float, scale: float | None) -> float:
@@ -179,62 +166,132 @@ class OptimizeResult:
                                                repr=False)
 
 
-def _stalled_at_minimum(objective, res) -> bool:
-    """Whether the point where L-BFGS-B's line search failed is a minimum
-    to rounding: the forward-difference Hessian H of the analytic gradient
-    g is positive definite, and the Newton decrease g^T H^-1 g / 2 is within
-    the rounding of E.  Costs one objective evaluation per coordinate."""
-    x, g = res.x, res.jac
-    steps = _HESSIAN_STEP * np.maximum(1.0, np.abs(x))
-    hess = np.array([(objective(x + h * unit)[1] - g) / h
-                     for h, unit in zip(steps, np.eye(len(x)))])
-    try:
-        chol = np.linalg.cholesky(0.5 * (hess + hess.T))
-    except np.linalg.LinAlgError:
-        return False
-    w = scipy.linalg.solve_triangular(chol, g, lower=True)
-    return bool(0.5 * (w @ w) <= _ROUNDING_DECREASE * max(abs(res.fun), 1.0))
-
-
 def _objective(req: OptimizeRequest, rule: hamiltonian.FixedRule):
-    """E on ``rule`` and its gradient in solver coordinates, as a function
-    of those coordinates."""
+    """E on ``rule``, its gradient and its Hessian in solver coordinates,
+    as a function of those coordinates.  d(parameter)/d(coordinate) is
+    1/scale, or nu for y = ln nu, where also d2E/dy2 = nu^2 d2E/dnu2
+    + nu dE/dnu."""
+    log_nu = [i for i, (_, s) in enumerate(req._layout) if s is None]
+
     def objective(x):
         params = req.build_params(x)
-        e, grad = hamiltonian.energy_gradient(params, req.cfg, rule,
-                                              req.free_params)
-        return e, grad * req.chain_factors(params)
+        e, grad, hess = hamiltonian.energy_derivatives(params, req.cfg, rule,
+                                                       req.free_params)
+        c = [params.nu if s is None else 1.0 / s for _, s in req._layout]
+        g = [gi * ci for gi, ci in zip(grad, c)]
+        h = [[hij * ci * cj for hij, cj in zip(row, c)]
+             for row, ci in zip(hess, c)]
+        for i in log_nu:
+            h[i][i] += g[i]
+        return e, g, h
     return objective
+
+
+def _cholesky(a, tau):
+    """Lower Cholesky factor of a + tau I on Python floats, or None if that
+    is not positive definite."""
+    n = len(a)
+    chol = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        ci = chol[i]
+        for j in range(i + 1):
+            cj = chol[j]
+            v = a[i][j]
+            for k in range(j):
+                v -= ci[k] * cj[k]
+            if j < i:
+                ci[j] = v / cj[j]
+            elif v + tau > 0:
+                ci[i] = math.sqrt(v + tau)
+            else:
+                return None
+    return chol
+
+
+def _newton_step(h, g):
+    """-(H + tau/D^2)^-1 g for D = |diag H|^(-1/2) and the least tau in 0,
+    then tau0 2^k, that makes DHD + tau I positive definite (Nocedal &
+    Wright, Numerical Optimization, 2006, Alg. 3.3, Jacobi-scaled so that a
+    flat coordinate does not set a steep one's shift), and the Newton
+    decrement g^T H^-1 g / 2 if tau = 0; (None, None) if H or g is not
+    finite."""
+    if not math.isfinite(sum(g) + sum(map(sum, h))):
+        return None, None
+    n = len(g)
+    d = [1.0 / math.sqrt(abs(h[i][i])) if h[i][i] else 1.0 for i in range(n)]
+    h = [[h[i][j] * d[i] * d[j] for j in range(n)] for i in range(n)]
+    tau = 0.0
+    while (chol := _cholesky(h, tau)) is None:
+        tau = max(2.0 * tau, 1e-3, 1e-3 - min(h[i][i] for i in range(n)))
+    w = [0.0] * n  # chol w = D g
+    for i in range(n):
+        v = g[i] * d[i]
+        for k in range(i):
+            v -= chol[i][k] * w[k]
+        w[i] = v / chol[i][i]
+    step = [0.0] * n  # chol^T D^-1 step = -w
+    for i in range(n - 1, -1, -1):
+        v = -w[i]
+        for k in range(i + 1, n):
+            v -= chol[k][i] * step[k]
+        step[i] = v / chol[i][i]
+    return ([v * di for v, di in zip(step, d)],
+            0.5 * sum([v * v for v in w]) if tau == 0.0 else None)
 
 
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
                       start_index: int,
                       rule: hamiltonian.FixedRule
                       ) -> tuple[OptimizeResult, bool]:
-    """One L-BFGS-B solve on ``rule``, and whether it ended with a free
-    parameter on its lower bound."""
+    """One projected Newton solve on ``rule`` (Bertsekas, SIAM J. Control
+    Optim. 20, 221, 1982), and whether it ended with a free parameter on
+    its lower bound.  A coordinate on its bound with E rising inward, or
+    one E does not depend on at all, is held; the others take a Newton
+    step on the exact Hessian, capped in ln nu and beta*B, projected onto
+    the bounds and halved until E falls by _ARMIJO of what g predicts."""
     lows = req.lower_bounds()
-    x0 = [v if lo is None else max(v, lo) for v, lo in
-          zip(req.start_vector(req.starts[start_index]), lows)]
+    caps = [_MAX_LN_NU_STEP if s is None else
+            _MAX_GAUSS_STEP * s / (req.cfg.B * rule.rho_max**2)
+            if name == "beta" else math.inf for name, s in req._layout]
+    x = [v if lo is None else max(v, lo) for v, lo in
+         zip(req.start_vector(req.starts[start_index]), lows)]
     objective = _objective(req, rule)
-
     # Trial points with a huge |beta B| overflow exp and f^2 on the way to
     # a finite optimum; the reported energy below is checked as usual.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = scipy.optimize.minimize(
-            objective, x0, jac=True, method="L-BFGS-B",
-            bounds=[(lo, None) for lo in lows],
-            options=dict(ftol=_FTOL, gtol=_GTOL, maxfun=_MAX_EVALS))
-        evals, converged = res.nfev, bool(res.success)
-        if res.status == _LINE_SEARCH_FAILED:
-            converged = _stalled_at_minimum(objective, res)
-            evals += len(res.x)
-    params = req.build_params(res.x)
+        e, g, h = objective(x)
+        evals, converged, accepted = 1, False, True
+        while accepted and evals < _MAX_EVALS:
+            held = [lo is not None and v <= lo and gi >= 0 or not (gi or hi[i])
+                    for i, (v, lo, gi, hi) in enumerate(zip(x, lows, g, h))]
+            d, decrement = _newton_step(
+                [[float(i == j) if held[i] or held[j] else v
+                  for j, v in enumerate(row)] for i, row in enumerate(h)],
+                [0.0 if hold else v for hold, v in zip(held, g)])
+            converged = (decrement is not None and decrement
+                         <= _ROUNDING_DECREASE * max(abs(e), 1.0))
+            if d is None or converged:
+                break
+            t = min([1.0] + [cap / abs(v) for v, cap in zip(d, caps) if v])
+            accepted = False
+            while not accepted and evals < _MAX_EVALS:
+                trial = [v + t * dv if lo is None else max(v + t * dv, lo)
+                         for v, dv, lo in zip(x, d, lows)]
+                if trial == x:
+                    break
+                e_t, g_t, h_t = objective(trial)
+                evals += 1
+                accepted = e_t - e <= _ARMIJO * sum(
+                    gi * (a - b) for gi, a, b in zip(g, trial, x))
+                t *= 0.5
+            if accepted:
+                x, e, g, h = trial, e_t, g_t, h_t
+    params = req.build_params(x)
     result = OptimizeResult(
         params=params, energy=hamiltonian.energy(params, req.cfg, spec, rule),
         evals=evals, converged=converged, start_index=start_index, rule=rule)
     return result, any(lo is not None and v <= lo
-                       for v, lo in zip(res.x, lows))
+                       for v, lo in zip(x, lows))
 
 
 def _select_best(candidates: Sequence[OptimizeResult],

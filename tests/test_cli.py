@@ -182,7 +182,7 @@ def test_verify_appendix(capsys):
 
 
 def test_coulomb_off_solve_prints_no_warnings(capsys):
-    # L-BFGS-B tries points with a huge |beta B|, where exp and f^2 overflow.
+    # A solve tries points with a huge |beta B|, where exp and f^2 overflow.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(["energy", "--coulomb", "off", "--B", "0.001",
@@ -191,6 +191,18 @@ def test_coulomb_off_solve_prints_no_warnings(capsys):
     assert err == ""
     assert [str(w.message) for w in caught] == []
     assert out.splitlines()[1].startswith("0.001,20,")
+
+
+def test_huge_field_is_served(capsys):
+    # At B = 1e11 the atom is 1e-5 across in a cavity of radius 2, so E does
+    # not depend on nu at all once (rho/rho0)^nu underflows; the step cap in
+    # ln nu keeps exp(ln nu) finite on the way.
+    code, out, err = run(["energy", "--B", "1e11", "--rho0", "2"], capsys)
+    assert code == 0
+    assert err == ""
+    row = out.splitlines()[1].split(",")
+    assert float(row[2]) == pytest.approx(5e10, rel=1e-8)
+    assert row[-3] == "true"  # converged
 
 
 def test_entropy_writes_optional_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st, target
 
-from cylvar.hamiltonian import (binding_energy, energy, energy_gradient,
+from cylvar.hamiltonian import (binding_energy, energy, energy_derivatives,
                                 fit_large_rho0_tail, fixed_rule, observables,
                                 reference_energy)
 from cylvar.quadrature import QuadratureSpec
@@ -128,28 +128,46 @@ GRADIENT_STATES = [
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_energy_gradient_matches_central_differences(params, cfg, wrt):
     rule = fixed_rule(params, cfg, SPEC)
-    e, grad = energy_gradient(params, cfg, rule, wrt)
+    e, grad, _ = energy_derivatives(params, cfg, rule, wrt)
     # On the rule energy() would build at these parameters, the same number.
     assert e == pytest.approx(energy(params, cfg, SPEC).total, rel=1e-13)
     h = 1e-6
     fd = []
     for name in wrt:
         v = getattr(params, name)
-        up, dn = (energy_gradient(replace(params, **{name: v + step}), cfg,
-                                  rule, ())[0] for step in (h, -h))
+        up, dn = (energy_derivatives(replace(params, **{name: v + step}),
+                                     cfg, rule, ())[0] for step in (h, -h))
         fd.append((up - dn) / (2.0 * h))
     np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
+def test_energy_hessian_matches_central_differences(params, cfg, wrt):
+    # The exact Hessian, against central differences of the analytic
+    # gradient on the same rule.
+    rule = fixed_rule(params, cfg, SPEC)
+    _, _, hess = energy_derivatives(params, cfg, rule, wrt)
+    h = 1e-5
+    fd = []
+    for name in wrt:
+        v = getattr(params, name)
+        up, dn = (energy_derivatives(replace(params, **{name: v + step}),
+                                     cfg, rule, wrt)[1] for step in (h, -h))
+        fd.append((np.array(up) - np.array(dn)) / (2.0 * h))
+    np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_energy_is_the_gradient_kernel_with_no_derivatives(params, cfg, wrt):
-    # energy() and energy_gradient() take E from one matrix of moment sums.
+    # energy() and energy_derivatives() take E from one matrix of moment
+    # sums.
     rule = fixed_rule(params, cfg, SPEC)
     br = energy(params, cfg, SPEC, rule)
-    e, grad = energy_gradient(params, cfg, rule, wrt)
+    e, grad, hess = energy_derivatives(params, cfg, rule, wrt)
     assert br.total == pytest.approx(e, rel=1e-14)
     assert br.kinetic + br.coulomb + br.zeeman_quadratic == br.total
-    assert grad.shape == (len(wrt),)
+    assert np.shape(grad) == (len(wrt),)
+    assert np.shape(hess) == (len(wrt), len(wrt))
 
 
 def graded_grid(params, cfg, n=400):

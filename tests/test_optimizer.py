@@ -3,7 +3,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from cylvar import hamiltonian, optimizer
@@ -65,15 +64,17 @@ def test_same_optimum_as_nelder_mead(point):
 
 
 def test_evals_count_every_objective_evaluation(monkeypatch):
+    # One evaluation is one kernel call at one point (E, gradient and
+    # Hessian), Armijo trials included.
     calls = 0
-    gradient = hamiltonian.energy_gradient
+    derivatives = hamiltonian.energy_derivatives
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return gradient(*args)
+        return derivatives(*args)
 
-    monkeypatch.setattr(hamiltonian, "energy_gradient", counted)
+    monkeypatch.setattr(hamiltonian, "energy_derivatives", counted)
     req = default_request(SystemConfig(B=0.4, rho0=2.0))
     res = minimize(req, SPEC)
     assert res.evals == calls
@@ -93,55 +94,56 @@ def test_minimize_is_as_low_as_every_start(B, rho0):
     assert e <= min(alone) + 1e-10
 
 
+def count_solves(monkeypatch, first_unconverged=False) -> list:
+    """Record the evals of each ``optimizer._run_single_start`` solve; with
+    ``first_unconverged``, report the first solve as unconverged."""
+    evals = []
+    solve = optimizer._run_single_start
+
+    def counted(*args):
+        result, on_bound = solve(*args)
+        if first_unconverged and not evals:
+            result = replace(result, converged=False)
+        evals.append(result.evals)
+        return result, on_bound
+
+    monkeypatch.setattr(optimizer, "_run_single_start", counted)
+    return evals
+
+
 def test_unconverged_solve_falls_back_to_every_start(monkeypatch):
-    nfev = []
-    lbfgsb = scipy.optimize.minimize
-
-    def first_unconverged(*args, **kwargs):
-        res = lbfgsb(*args, **kwargs)
-        if not nfev:
-            res.success = False
-        nfev.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "minimize", first_unconverged)
+    evals = count_solves(monkeypatch, first_unconverged=True)
     req = default_request(SystemConfig(B=0.4, rho0=2.0))
     res = minimize(req, SPEC)
-    assert len(nfev) == len(req.starts)
-    assert res.evals == sum(nfev)
+    assert len(evals) == len(req.starts)
+    assert res.evals == sum(evals)
 
 
 def test_readme_scan_takes_one_solve_per_basin(monkeypatch):
-    solves = 0
-    lbfgsb = scipy.optimize.minimize
-
-    def counted(*args, **kwargs):
-        nonlocal solves
-        solves += 1
-        return lbfgsb(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    evals = count_solves(monkeypatch)
     grid = [SystemConfig(B=b, rho0=r) for b in (0.0, 0.4, 0.8, 1.0)
             for r in (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)]
     records = scan(grid, SPEC)
     assert all(r.converged for r in records)
     # one basin at B = 0 (beta pinned), two at B > 0; no fallback
-    assert solves == 6 * 1 + 18 * 2
-    # 847 evaluations on 64 nodes (1028 when nu was stepped linearly)
-    assert sum(r.evals for r in records) <= 38 * len(records)
+    assert len(evals) == 6 * 1 + 18 * 2
+    # 308 evaluations on 64 nodes, the same with E and its derivatives
+    # scaled by each 1 + eps of test_convergence_does_not_depend_on_rounding
+    # (847 under L-BFGS-B, which spread over 820-913)
+    assert sum(r.evals for r in records) <= 14 * len(records)
 
 
 def test_zero_field_scan_evals_per_point():
-    # The 17-row B = 0 acceptance grid at 96 nodes: 269 evaluations (340
-    # when nu was stepped linearly).  A solve whose line search fails once
-    # E is flat to rounding spends 20-25 more, so the count moves with the
-    # last bits of E.
+    # The 17-row B = 0 acceptance grid at 96 nodes: 132 evaluations, the
+    # same with E and its derivatives scaled by each 1 + eps of
+    # test_convergence_does_not_depend_on_rounding (269 under L-BFGS-B,
+    # which spread over 269-318).
     grid = [SystemConfig(B=0.0, rho0=r) for r in
             (0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0,
              8.0, 10.0, 15.0, math.inf)]
     records = scan(grid, QuadratureSpec(96))
     assert all(r.converged for r in records)
-    assert sum(r.evals for r in records) <= 18 * len(records)
+    assert sum(r.evals for r in records) <= 9 * len(records)
 
 
 @pytest.mark.parametrize("cfg,names", [
@@ -158,7 +160,7 @@ def test_objective_gradient_is_in_solver_coordinates(cfg, names):
     x = np.array(req.start_vector(req.starts[0])) + 0.05
     rule = hamiltonian.fixed_rule(req.build_params(x), cfg, SPEC)
     objective = optimizer._objective(req, rule)
-    _, grad = objective(x)
+    _, grad, _ = objective(x)
     h = 1e-6
     fd = [(objective(x + h * unit)[0] - objective(x - h * unit)[0]) / (2 * h)
           for unit in np.eye(len(x))]
@@ -169,34 +171,94 @@ def test_objective_gradient_is_in_solver_coordinates(cfg, names):
         assert req.lower_bounds()[-1] == 0.0  # nu >= 1
 
 
+@pytest.mark.parametrize("cfg,names", [
+    (SystemConfig(B=0.0, rho0=2.0), ("alpha", "nu")),
+    (SystemConfig(B=0.4, rho0=2.0), ("alpha", "beta", "nu")),
+    (SystemConfig(B=0.5, rho0=math.inf), ("alpha", "beta", "gamma")),
+    (SystemConfig(B=0.0, rho0=math.inf), ("alpha", "gamma")),
+])
+def test_objective_hessian_is_in_solver_coordinates(cfg, names):
+    # The exact Hessian the Newton steps take, against central differences
+    # of the analytic gradient in alpha, beta*B, ln nu and gamma; in ln nu
+    # it carries the extra nu dE/dnu of the chain rule.
+    req = default_request(cfg)
+    assert req.free_params == names
+    x = np.array(req.start_vector(req.starts[0])) + 0.05
+    rule = hamiltonian.fixed_rule(req.build_params(x), cfg, SPEC)
+    objective = optimizer._objective(req, rule)
+    _, _, hess = objective(x)
+    h = 1e-5
+    fd = [(np.array(objective(x + h * unit)[1])
+           - np.array(objective(x - h * unit)[1])) / (2 * h)
+          for unit in np.eye(len(x))]
+    np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-9)
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-16, -1e-16, 3e-16, -3e-16, 1e-15,
                                  -1e-15])
 def test_convergence_does_not_depend_on_rounding(monkeypatch, eps):
-    # E and its gradient scaled by (1 + eps) differ from the unscaled ones
-    # by rounding alone, so every solve converges either way and none
+    # E and its derivatives scaled by (1 + eps) differ from the unscaled
+    # ones by rounding alone, so every solve converges either way and none
     # falls back to the other starts.
-    solves = 0
-    lbfgsb = scipy.optimize.minimize
-    gradient = hamiltonian.energy_gradient
-
-    def counted(*args, **kwargs):
-        nonlocal solves
-        solves += 1
-        return lbfgsb(*args, **kwargs)
+    derivatives = hamiltonian.energy_derivatives
 
     def scaled(*args):
-        e, grad = gradient(*args)
-        return e * (1.0 + eps), grad * (1.0 + eps)
+        e, grad, hess = derivatives(*args)
+        f = 1.0 + eps
+        return e * f, [v * f for v in grad], [[v * f for v in row]
+                                              for row in hess]
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counted)
-    monkeypatch.setattr(hamiltonian, "energy_gradient", scaled)
+    monkeypatch.setattr(hamiltonian, "energy_derivatives", scaled)
+    evals = count_solves(monkeypatch)
     outcome = {}
     for point in ((0.4, 2.0), (1.0, 3.0), (0.8, 0.8), (0.4, 0.8), (1.0, 1.0),
                   (0.4, 1.5)):
-        solves = 0
+        evals.clear()
         res = minimize(default_request(SystemConfig(*point)), SPEC)
-        outcome[point] = (solves, res.converged)
+        outcome[point] = (len(evals), res.converged)
     assert outcome == {point: (2, True) for point in outcome}
+
+
+def test_flat_nu_moves_off_its_start():
+    # At B = 0 and rho0 = 200 dE/dnu is about 1e-11 at the start's nu = 2.
+    # L-BFGS-B stopped there (nu = 2.0000003, E = -0.49999999874962836 at
+    # 64 nodes); a Newton step on the exact Hessian goes on to nu ~ 3.4.
+    res = minimize(default_request(SystemConfig(B=0.0, rho0=200.0)), SPEC)
+    assert res.converged
+    assert res.params.nu > 3.0
+    assert -0.5 < res.energy.total <= -0.49999999874962836
+
+
+def test_tiny_field_moves_beta():
+    # Below B = 1e-150 beta's solver coordinate is beta * 1e-150, so beta*B
+    # moves by only B/1e-150 per unit of it.  The Newton step is invariant
+    # to that scale, and its cap is set in beta*B: the solve reaches the
+    # B -> 0 limit of the B > 0 family, as at B = 1e-6.
+    ref = minimize(default_request(SystemConfig(B=1e-6, rho0=2.0)), SPEC)
+    res = minimize(default_request(SystemConfig(B=1e-160, rho0=2.0)), SPEC)
+    assert res.converged
+    assert res.energy.total == pytest.approx(ref.energy.total, abs=1e-12)
+
+
+def test_off_basin_start_does_not_overflow(monkeypatch):
+    # From this start at (0.5, 15) E is flat in nu to 1e-10 and concave
+    # there; an unbounded step in ln nu overflowed exp in build_params.
+    # Each step, and so each point tried, moves ln nu by at most 1.
+    req = default_request(SystemConfig(B=0.5, rho0=15.0))
+    best = minimize(req, SPEC).energy.total
+    nus = []
+    derivatives = hamiltonian.energy_derivatives
+
+    def recorded(params, *args):
+        nus.append(params.nu)
+        return derivatives(params, *args)
+
+    monkeypatch.setattr(hamiltonian, "energy_derivatives", recorded)
+    res = minimize(replace(req, starts=(TrialParams(alpha=0.624, beta=-0.088,
+                                                    nu=14.5),)), SPEC)
+    assert res.converged
+    assert res.energy.total <= best + 1e-12
+    assert max(abs(math.log(b / a)) for a, b in zip(nus, nus[1:])) <= 1.0001
 
 
 def count_rules(monkeypatch) -> list:
