@@ -4,11 +4,11 @@ psi = f(rho) exp(-alpha r), so the z integral of every term is a modified
 Bessel function of 2 alpha rho in closed form, and every integral the energy
 and the observables need is a sum over the radial nodes of a ``FixedRule``
 of f, f' and a few such moments of exp(-2 alpha r).  ``energy`` and
-``energy_derivatives`` (E, its gradient and its Hessian) take all their sums
-from one matrix product: the rows f, f' and their first and second
-parameter derivatives against the moment rows, which are the rule's
-parameter-free weights times one K0 and one K1 of 2 alpha rho; the rest is
-scalar algebra.  ``observables`` takes its sums from the same moment rows,
+``energy_derivatives`` (E, its gradient and its Hessian) take their sums
+from matrix products: f and f' times each of f, f' and their first and
+second parameter derivatives, and each first derivative times each, against
+the moment rows, which are the rule's parameter-free weights times one K0
+and one K1 of 2 alpha rho; the rest is scalar algebra.  ``observables`` takes its sums from the same moment rows,
 with one more row for |z| built from their weights.  ``energy`` and
 ``observables`` work on a given rule or on the rule built at their
 parameters, and ``energy_derivatives`` on a rule held fixed for one point.
@@ -107,6 +107,24 @@ class FixedRule:
     k0_weights: np.ndarray
     k1_weights: np.ndarray
 
+    def resolves(self, params: TrialParams, cfg: SystemConfig) -> bool:
+        """Whether E at ``params`` on the rule is E to rounding: from the
+        rule's end to rho0, psi^2 at z = 0 stays below eps^2 of its value
+        at the nucleus, or at rho = 2/alpha if that is higher (rho0 = inf,
+        where p grows as gamma^2 rho^2).  At finite rho0, where p <= 1, its
+        log is at most -2 rho (alpha + beta B rho), convex or falling, so
+        both ends decide; at rho0 = inf it falls beyond 2/alpha."""
+        if self.rho_max >= cfg.rho0:
+            return True
+        g = params.gamma or 0.0
+        c = params.beta * cfg.B
+
+        def ln_psi2(r):
+            return 2.0 * (math.log1p((g * r)**2) - r * (params.alpha + c * r))
+        peak = max(0.0, ln_psi2(min(self.rho_max, 2.0 / params.alpha)))
+        ends = (self.rho_max, cfg.rho0) if c < 0 else (self.rho_max,)
+        return all(ln_psi2(r) - peak <= -0.5 * _LN_CUT for r in ends)
+
     @cached_property
     def ln_x(self) -> np.ndarray:
         """ln(rho/rho0), for dp/dnu: built once a solve with nu free asks."""
@@ -147,10 +165,11 @@ def _rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
 
 def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
-    """The prefactor p(rho), and on the radial nodes the rows f, f' of
-    f = p exp(-beta*B*rho^2), then df/dtheta, df'/dtheta for each theta in
-    ``wrt`` other than alpha, then d2f/dtheta dphi, d2f'/dtheta dphi for
-    each pair theta <= phi of those in order, as an array (2k, n_rho).
+    """The prefactor p(rho); on the radial nodes, as one array, the rows
+    f, f' of f = p exp(-beta*B*rho^2), then df/dtheta_i, df'/dtheta_i for
+    the k parameters theta_i of ``wrt`` other than alpha, then
+    d2f/dtheta_i dtheta_j, d2f'/dtheta_i dtheta_j for each (i, j), i <= j,
+    of the list returned last.
 
     Each pair of rows is (q G, (q G)') for G = exp(-beta*B*rho^2) and a
     prefactor q: p, or its derivative in nu or gamma.  beta acts through G
@@ -176,35 +195,33 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
         def times_gauss(q, dq):
             return q, dq
 
-    rows = [*times_gauss(p, dp)]
+    rows = times_gauss(p, dp)
     names = [name for name in wrt if name != "alpha"]
-    if names:
-        if not set(names) <= {"beta", "gamma" if rule.x is None else "nu"}:
-            raise ValueError(f"unknown parameter names: {names}")
-        # d1, d2: (q G, (q G)') for q = dp/dgamma and d2p/dgamma2, or in nu
-        if rule.x is None:
-            d1 = times_gauss(2.0 * g * rule.rho2, 4.0 * g * rho)
-            d2 = times_gauss(2.0 * rule.rho2, 4.0 * rho)
-        elif "nu" in names:
-            ln_x = rule.ln_x
-            p_nu = -x_nu * ln_x
-            d1 = times_gauss(p_nu, dp * (ln_x + 1.0 / params.nu))
-            d2 = times_gauss(p_nu * ln_x,
-                             dp * ln_x * (ln_x + 2.0 / params.nu))
+    if not names:
+        return p, np.array(rows), []
+    if not set(names) <= {"beta", "gamma" if rule.x is None else "nu"}:
+        raise ValueError(f"unknown parameter names: {names}")
+    # d1, d2: (q G, (q G)') for q = dp/dgamma and d2p/dgamma2, or in nu
+    if rule.x is None:
+        d1 = times_gauss(2.0 * g * rule.rho2, 4.0 * g * rho)
+        d2 = times_gauss(2.0 * rule.rho2, 4.0 * rho)
+    elif "nu" in names:
+        ln_x = rule.ln_x
+        p_nu = -x_nu * ln_x
+        d1 = times_gauss(p_nu, dp * (ln_x + 1.0 / params.nu))
+        d2 = times_gauss(p_nu * ln_x, dp * ln_x * (ln_x + 2.0 / params.nu))
 
-        def times_b(f, df):
-            """d/dbeta of (f, f'): (b f, (b f)') for b = -B rho^2."""
-            b = -B * rule.rho2
-            return b * f, b * df - (2.0 * B) * rho * f
+    def times_b(f, df):
+        """d/dbeta of (f, f'): (b f, (b f)') for b = -B rho^2."""
+        b = -B * rule.rho2
+        return b * f, b * df - (2.0 * B) * rho * f
 
-        first = [times_b(*rows[:2]) if name == "beta" else d1
-                 for name in names]
-        second = [times_b(*first[j]) if name == "beta" else
-                  times_b(*first[i]) if names[j] == "beta" else d2
-                  for i, name in enumerate(names)
-                  for j in range(i, len(names))]
-        rows += [row for pair in first + second for row in pair]
-    return p, np.array(rows)
+    first = [times_b(*rows) if name == "beta" else d1 for name in names]
+    pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
+    second = [times_b(*first[j]) if names[i] == "beta" else
+              times_b(*first[i]) if names[j] == "beta" else d2
+              for i, j in pairs]
+    return p, np.array([*rows, *(r for d in first + second for r in d)]), pairs
 
 
 def _moment_rows(alpha: float, rule: FixedRule) -> np.ndarray:
@@ -233,17 +250,16 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     on f alone: L_theta = 2 L(f, f_theta) and L_theta,phi = 2 L(f_theta,
     f_phi) + 2 L(f, f_theta,phi).  alpha acts through the explicit alpha in
     K and through the moments, dm_c/dalpha = -2 m_{r c}.  Each term is a
-    sum of u v m over the nodes, u in (f, f' and each f_theta, f'_theta),
-    v a row of ``_radial_factor`` and m a moment row: one product forms
-    all but two, which only d2E/dalpha2 needs, and the rest is scalar
-    algebra.
+    sum of u v m over the nodes for a moment row m and rows u, v of
+    ``_radial_factor``: two products form all but two of them, u in
+    (f, f') against every row v, and u, v both first derivatives.  Two
+    more sums serve d2E/dalpha2 alone; the rest is scalar algebra.
     """
     a = params.alpha
     moments = _moment_rows(a, rule)
-    rows = _radial_factor(params, cfg, rule, wrt)[1]
-    first = 2 * (len(wrt) + 1 - ("alpha" in wrt))  # rows of f and each f_theta
-    # s[u][v][m] = sum over the nodes of rows[u] rows[v] moments[m]
-    s = ((rows[:first, None] * rows[None]) @ moments.T).tolist()
+    _, rows, pairs = _radial_factor(params, cfg, rule, wrt)
+    # s[u][v][m] = sum over the nodes of rows[u] rows[v] moments[m], u < 2
+    s = ((rows[:2, None] * rows[None]) @ moments.T).tolist()
     ff, fdf, dfdf = s[0][0], s[0][1], s[1][1]
     norm = ff[M1]
     kinetic = 0.5 * (dfdf[M1] + a * a * norm) - a * fdf[M_RHO]
@@ -258,9 +274,9 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     names = [name for name in wrt if name != "alpha"]
     cz = 1.0 if cfg.coulomb_on else 0.0
 
-    def lag(i, j):
-        """L(u, v) for u, v the functions of the row pairs from i and j."""
-        b00, b01, b10, b11 = s[i][j], s[i][j + 1], s[i + 1][j], s[i + 1][j + 1]
+    def lag(b, i, j):
+        """L(u, v) for u, v the functions of row pairs i and j of b."""
+        b00, b01, b10, b11 = b[i][j], b[i][j + 1], b[i + 1][j], b[i + 1][j + 1]
         return (0.5 * (b11[M1] + a * a * b00[M1])
                 - 0.5 * a * (b01[M_RHO] + b10[M_RHO])
                 + z * b00[R2_M1] - cz * b00[M_INV_R] - e * b00[M1])
@@ -281,13 +297,19 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
         -K0'''(2 alpha rho) = rho^2 m_1 + M_R0/2 alpha + m_1/2 alpha^2."""
         return 4.0 * b[R2_M1] + 2.0 * (b[M_R0] + b[M1] / a) / a
 
-    # the row pair of each parameter's df/dtheta; None for alpha
-    at = [None if name == "alpha" else 2 + 2 * names.index(name)
-          for name in wrt]
-    dl_dn = [lag_alpha(0) if i is None else (2.0 * lag(0, i),
-                                             2.0 * s[0][i][M1]) for i in at]
+    # t[u][v][m]: the same sums for rows[2 + u], rows[2 + v] the first
+    # derivatives
+    d1 = rows[2:2 + 2 * len(names)]
+    t = ((d1[:, None] * d1[None]) @ moments.T).tolist()
+    # each parameter's row pair among the first derivatives, None for
+    # alpha; the columns in s of those row pairs and of the second's
+    at = [None if name == "alpha" else names.index(name) for name in wrt]
+    col = [2 + 2 * n for n in range(len(names))]
+    col2 = {key: 2 * (1 + len(names) + n) for n, key in enumerate(pairs)}
+    dl_dn = [lag_alpha(0) if i is None else (2.0 * lag(s, 0, col[i]),
+                                             2.0 * s[0][col[i]][M1])
+             for i in at]
     grad = [dl * inv_norm for dl, _ in dl_dn]
-    second = iter(range(first, len(rows), 2))  # in _radial_factor's order
     hess = [[0.0] * len(wrt) for _ in wrt]
     for i, ri in enumerate(at):
         for j in range(i, len(wrt)):
@@ -306,9 +328,10 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                               + 2.0 * (ff[R2_MR0] + ff[R2_M1] / a) / a)
                        - cz * (4.0 * ff[M_R0] + 2.0 * norm / a))
             elif ri is None or rj is None:
-                d2l = 2.0 * lag_alpha(rj if ri is None else ri)[0]
+                d2l = 2.0 * lag_alpha(col[rj if ri is None else ri])[0]
             else:
-                d2l = 2.0 * (lag(ri, rj) + lag(0, next(second)))
+                d2l = 2.0 * (lag(t, 2 * ri, 2 * rj)
+                             + lag(s, 0, col2[ri, rj]))
             hess[i][j] = hess[j][i] = (d2l - grad[i] * dl_dn[j][1]
                                        - grad[j] * dl_dn[i][1]) * inv_norm
     return norm, kinetic, coulomb, zeeman, e, grad, hess
@@ -364,7 +387,7 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     rule = _rule_for(params, cfg, spec, rule)
     moments = _moment_rows(params.alpha, rule)
     m1 = moments[M1]
-    p, (f, _) = _radial_factor(params, cfg, rule, ())
+    p, (f, _), _ = _radial_factor(params, cfg, rule, ())
     a = 2.0 * params.alpha
     m_abs_z = np.exp(-a * rule.rho) * (rule.k0_weights[M_RHO] / a
                                        + rule.k0_weights[M_INV_R] / a**2)

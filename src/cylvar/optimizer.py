@@ -2,7 +2,7 @@
 
 Newton steps on the exact gradient and Hessian of E
 (``hamiltonian.energy_derivatives``) on one radial quadrature rule held
-fixed for each point.  A request names only what it pins; every other
+fixed for each point, unless a solve's density outruns it.  A request names only what it pins; every other
 parameter that acts at its (B, rho0) is free (``OptimizeRequest.free_params``),
 and one that acts on nothing there keeps its ``TrialParams`` default.  Each
 point is one solve per basin of the energy (two when beta and nu are both
@@ -74,6 +74,8 @@ INF_STARTS = (
 _ROUNDING_DECREASE = 64 * sys.float_info.epsilon  # relative to max(|E|, 1)
 _MAX_EVALS = 2000  # objective evaluations per solve
 _ARMIJO = 1e-4  # accepted decrease, as a fraction of g^T (x_new - x)
+_MAX_HALVINGS = 30  # of one Newton step before the solve gives up
+_MAX_RULES = 16  # per solve, see _run_single_start
 # Largest step in ln nu, and in beta*B times rho_max^2 (the Gaussian's
 # exponent at the rule's edge): far from its optimum E can be flat in
 # either, and a Newton step there unbounded.
@@ -190,21 +192,15 @@ def _objective(req: OptimizeRequest, rule: hamiltonian.FixedRule):
 def _cholesky(a, tau):
     """Lower Cholesky factor of a + tau I on Python floats, or None if that
     is not positive definite."""
-    n = len(a)
-    chol = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        ci = chol[i]
-        for j in range(i + 1):
-            cj = chol[j]
-            v = a[i][j]
-            for k in range(j):
-                v -= ci[k] * cj[k]
-            if j < i:
-                ci[j] = v / cj[j]
-            elif v + tau > 0:
-                ci[i] = math.sqrt(v + tau)
-            else:
-                return None
+    chol = []
+    for i, row in enumerate(a):
+        ci = []
+        for j, cj in enumerate(chol):
+            ci.append((row[j] - sum(ci[k] * cj[k] for k in range(j))) / cj[j])
+        v = row[i] + tau - sum(c * c for c in ci)
+        if not v > 0:
+            return None
+        chol.append(ci + [math.sqrt(v)])
     return chol
 
 
@@ -223,70 +219,85 @@ def _newton_step(h, g):
     tau = 0.0
     while (chol := _cholesky(h, tau)) is None:
         tau = max(2.0 * tau, 1e-3, 1e-3 - min(h[i][i] for i in range(n)))
-    w = [0.0] * n  # chol w = D g
-    for i in range(n):
-        v = g[i] * d[i]
-        for k in range(i):
-            v -= chol[i][k] * w[k]
-        w[i] = v / chol[i][i]
-    step = [0.0] * n  # chol^T D^-1 step = -w
-    for i in range(n - 1, -1, -1):
-        v = -w[i]
-        for k in range(i + 1, n):
-            v -= chol[k][i] * step[k]
-        step[i] = v / chol[i][i]
+    w = []  # chol w = D g, then chol^T D^-1 step = -w
+    for i, ci in enumerate(chol):
+        w.append((g[i] * d[i] - sum(ci[k] * w[k] for k in range(i))) / ci[i])
+    step = [0.0] * n
+    for i in reversed(range(n)):
+        step[i] = (-w[i] - sum(chol[k][i] * step[k]
+                               for k in range(i + 1, n))) / chol[i][i]
     return ([v * di for v, di in zip(step, d)],
             0.5 * sum([v * v for v in w]) if tau == 0.0 else None)
+
+
+def _newton(req: OptimizeRequest, rule: hamiltonian.FixedRule,
+            x: list[float], lows: list[float | None], evals: int
+            ) -> tuple[list[float], int, bool]:
+    """Projected Newton iterations on E on ``rule`` from ``x`` (Bertsekas,
+    SIAM J. Control Optim. 20, 221, 1982): the end point, ``evals`` plus
+    the evaluations taken, and whether the end is a minimum.  A coordinate
+    on its bound with E rising inward, or one E does not depend on at all,
+    is held; the others take a Newton step on the exact Hessian, capped in
+    ln nu and beta*B, projected onto the bounds and halved until E falls
+    by _ARMIJO of what g predicts, a point where g predicts no fall left
+    untried."""
+    caps = [_MAX_LN_NU_STEP if s is None else
+            _MAX_GAUSS_STEP * s / (req.cfg.B * rule.rho_max**2)
+            if name == "beta" else math.inf for name, s in req._layout]
+    objective = _objective(req, rule)
+    e, g, h = objective(x)
+    evals, converged, accepted = evals + 1, False, True
+    while accepted and evals < _MAX_EVALS:
+        held = [lo is not None and v <= lo and gi >= 0 or not (gi or hi[i])
+                for i, (v, lo, gi, hi) in enumerate(zip(x, lows, g, h))]
+        d, decrement = _newton_step(
+            [[float(i == j) if held[i] or held[j] else v
+              for j, v in enumerate(row)] for i, row in enumerate(h)],
+            [0.0 if hold else v for hold, v in zip(held, g)])
+        converged = (decrement is not None and decrement
+                     <= _ROUNDING_DECREASE * max(abs(e), 1.0))
+        if d is None or converged:
+            break
+        t = min([1.0] + [cap / abs(v) for v, cap in zip(d, caps) if v])
+        accepted = False
+        for _ in range(_MAX_HALVINGS):
+            trial = [v + t * dv if lo is None else max(v + t * dv, lo)
+                     for v, dv, lo in zip(x, d, lows)]
+            fall = sum(gi * (a - b) for gi, a, b in zip(g, trial, x))
+            if fall < 0:
+                e_t, g_t, h_t = objective(trial)
+                evals += 1
+                if e_t - e <= _ARMIJO * fall:
+                    x, e, g, h, accepted = trial, e_t, g_t, h_t, True
+                    break
+            t *= 0.5
+    return x, evals, converged
 
 
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
                       start_index: int,
                       rule: hamiltonian.FixedRule
                       ) -> tuple[OptimizeResult, bool]:
-    """One projected Newton solve on ``rule`` (Bertsekas, SIAM J. Control
-    Optim. 20, 221, 1982), and whether it ended with a free parameter on
-    its lower bound.  A coordinate on its bound with E rising inward, or
-    one E does not depend on at all, is held; the others take a Newton
-    step on the exact Hessian, capped in ln nu and beta*B, projected onto
-    the bounds and halved until E falls by _ARMIJO of what g predicts."""
+    """One solve from start ``start_index``, and whether it ended with a
+    free parameter on its lower bound.  It runs on ``rule``; one that ends
+    where the rule does not resolve E (``FixedRule.resolves``) minimized a
+    truncated E, and goes on from there on the rule built at that point,
+    up to _MAX_RULES rules.  It converges only on a rule that resolves E
+    at its end."""
     lows = req.lower_bounds()
-    caps = [_MAX_LN_NU_STEP if s is None else
-            _MAX_GAUSS_STEP * s / (req.cfg.B * rule.rho_max**2)
-            if name == "beta" else math.inf for name, s in req._layout]
     x = [v if lo is None else max(v, lo) for v, lo in
          zip(req.start_vector(req.starts[start_index]), lows)]
-    objective = _objective(req, rule)
+    evals = 0
     # Trial points with a huge |beta B| overflow exp and f^2 on the way to
     # a finite optimum; the reported energy below is checked as usual.
     with np.errstate(over="ignore", invalid="ignore"):
-        e, g, h = objective(x)
-        evals, converged, accepted = 1, False, True
-        while accepted and evals < _MAX_EVALS:
-            held = [lo is not None and v <= lo and gi >= 0 or not (gi or hi[i])
-                    for i, (v, lo, gi, hi) in enumerate(zip(x, lows, g, h))]
-            d, decrement = _newton_step(
-                [[float(i == j) if held[i] or held[j] else v
-                  for j, v in enumerate(row)] for i, row in enumerate(h)],
-                [0.0 if hold else v for hold, v in zip(held, g)])
-            converged = (decrement is not None and decrement
-                         <= _ROUNDING_DECREASE * max(abs(e), 1.0))
-            if d is None or converged:
+        for _ in range(_MAX_RULES):
+            x, evals, converged = _newton(req, rule, x, lows, evals)
+            params = req.build_params(x)
+            if rule.resolves(params, req.cfg):
                 break
-            t = min([1.0] + [cap / abs(v) for v, cap in zip(d, caps) if v])
-            accepted = False
-            while not accepted and evals < _MAX_EVALS:
-                trial = [v + t * dv if lo is None else max(v + t * dv, lo)
-                         for v, dv, lo in zip(x, d, lows)]
-                if trial == x:
-                    break
-                e_t, g_t, h_t = objective(trial)
-                evals += 1
-                accepted = e_t - e <= _ARMIJO * sum(
-                    gi * (a - b) for gi, a, b in zip(g, trial, x))
-                t *= 0.5
-            if accepted:
-                x, e, g, h = trial, e_t, g_t, h_t
-    params = req.build_params(x)
+            rule = hamiltonian.fixed_rule(params, req.cfg, spec)
+            converged = False
     result = OptimizeResult(
         params=params, energy=hamiltonian.energy(params, req.cfg, spec, rule),
         evals=evals, converged=converged, start_index=start_index, rule=rule)
@@ -320,8 +331,8 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
     with no free parameter is one energy evaluation.
     """
     # One rule for every solve.  It depends on the first start only through
-    # the radius beyond which that start's density is negligible, which
-    # ``energy`` checks at each optimum.
+    # the radius beyond which that start's density is negligible; a solve
+    # whose density ends beyond it goes on on a wider one.
     rule = hamiltonian.fixed_rule(
         req.build_params(req.start_vector(req.starts[0])), req.cfg, spec)
     if not req.free_params:

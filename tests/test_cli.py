@@ -205,6 +205,27 @@ def test_huge_field_is_served(capsys):
     assert row[-3] == "true"  # converged
 
 
+def test_pinned_alpha_solve_is_not_left_on_a_truncated_e(capsys):
+    # beta B < 0 pushes the density to the wall, beyond the rule built at
+    # the first start (rho_max 60.7 < rho0); E on that rule has a spurious
+    # minimum there, at which E on the full rule is +1.79.
+    code, out, _ = run(["energy", "--B", "0.0145", "--rho0", "92.3",
+                        "--alpha", "1.1", "--nodes", "48"], capsys)
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert float(row[2]) <= -0.495213505
+    assert row[-3] == "true"  # converged
+
+
+def test_free_particle_solve_reaches_zero(capsys):
+    # With the Coulomb term off at (0, inf), E > 0 falls to 0 as alpha -> 0,
+    # and the density outruns every rule on the way.
+    code, out, _ = run(["energy", "--coulomb", "off", "--B", "0",
+                        "--rho0", "inf"], capsys)
+    assert code == 0
+    assert 0.0 < float(out.splitlines()[1].split(",")[2]) < 1e-14
+
+
 def test_entropy_writes_optional_file(tmp_path, capsys):
     path = tmp_path / "s.dat"
     code, out, _ = run(["entropy", "--B", "0", "--rho0", "inf",

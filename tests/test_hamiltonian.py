@@ -325,3 +325,25 @@ def test_rule_stops_where_the_density_is_negligible(monkeypatch):
     assert energy(wide, cfg, SPEC, short) == energy(wide, cfg, SPEC)
     assert energy(narrow, cfg, SPEC, fixed_rule(wide, cfg, SPEC)).total == \
         pytest.approx(energy(narrow, cfg, SPEC).total, abs=1e-12)
+
+
+def test_rule_resolves_e_where_the_density_beyond_it_is_negligible():
+    spec = QuadratureSpec(48)
+    # beta B < 0 at finite rho0: psi^2 falls beyond the rule, then rises
+    # towards the wall, so both ends decide.
+    cfg = SystemConfig(B=0.0145, rho0=92.3)
+    rule = fixed_rule(TrialParams(alpha=1.1, beta=0.1, nu=2.0), cfg, spec)
+    assert rule.rho_max < cfg.rho0
+    assert rule.resolves(TrialParams(alpha=1.1, beta=-0.3, nu=3.0), cfg)
+    # psi^2 is e^-74 of its nucleus value at the rule's end, e^-67 at rho0
+    assert not rule.resolves(TrialParams(alpha=1.1, beta=-0.552, nu=3.0),
+                             cfg)
+    assert not rule.resolves(TrialParams(alpha=0.4, beta=0.1, nu=2.0), cfg)
+    # At rho0 = inf a huge gamma makes p a scale factor, gamma^2 rho^2:
+    # psi^2 beyond the rule is negligible against its peak near 2/alpha,
+    # not against its value at the nucleus.
+    cfg = SystemConfig(B=0.0, rho0=math.inf)
+    rule = fixed_rule(TrialParams(alpha=1.0, beta=0.0, gamma=0.0), cfg, spec)
+    assert rule.resolves(TrialParams(alpha=1.0, beta=0.0, gamma=1e8), cfg)
+    assert not rule.resolves(TrialParams(alpha=0.4, beta=0.0, gamma=1e8),
+                             cfg)

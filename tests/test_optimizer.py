@@ -261,6 +261,46 @@ def test_off_basin_start_does_not_overflow(monkeypatch):
     assert max(abs(math.log(b / a)) for a, b in zip(nus, nus[1:])) <= 1.0001
 
 
+def test_line_search_gives_up_after_max_halvings(monkeypatch):
+    # E raised by 1 everywhere but at the start: no trial passes the
+    # Armijo test, and the one solve ends unconverged after at most
+    # _MAX_HALVINGS trials.
+    derivatives = hamiltonian.energy_derivatives
+    calls = []
+
+    def raised(*args):
+        e, g, h = derivatives(*args)
+        calls.append(e)
+        return (e if len(calls) == 1 else e + 1.0), g, h
+
+    monkeypatch.setattr(hamiltonian, "energy_derivatives", raised)
+    req = default_request(SystemConfig(B=0.4, rho0=2.0))
+    res = minimize(replace(req, starts=req.starts[:1]), SPEC)
+    assert not res.converged
+    assert 1 < res.evals <= 1 + optimizer._MAX_HALVINGS
+
+
+def test_solve_from_a_truncated_minimum_goes_on_on_a_wider_rule():
+    # alpha pinned at (0.0145, 92.3): at beta B = -0.0157 psi^2 at the wall
+    # is e^64 of its value at the nucleus, beyond the rule built at the
+    # first start (rho_max 60.7).  E on that rule has a minimum there,
+    # which is no minimum of E.
+    spec = QuadratureSpec(48)
+    req = replace(default_request(SystemConfig(B=0.0145, rho0=92.3),
+                                  {"alpha": 1.1}),
+                  starts=(DEFAULT_STARTS[0],
+                          TrialParams(alpha=1.1, beta=-1.0853743,
+                                      nu=2.5075873)))
+    rule = hamiltonian.fixed_rule(
+        req.build_params(req.start_vector(req.starts[0])), req.cfg, spec)
+    assert rule.rho_max < 61.0
+    assert not rule.resolves(req.starts[1], req.cfg)
+    result, _ = optimizer._run_single_start(req, spec, 1, rule)
+    assert result.converged
+    assert result.rule.resolves(result.params, req.cfg)
+    assert result.energy.total <= -0.495213505
+
+
 def count_rules(monkeypatch) -> list:
     """Record each ``hamiltonian.fixed_rule`` call's parameters."""
     built = []
