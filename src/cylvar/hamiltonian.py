@@ -1,17 +1,19 @@
 """Rayleigh quotient, term breakdown and derived observables.
 
-psi = f(rho) exp(-alpha r), so the z integral of every term is a modified
-Bessel function of 2 alpha rho in closed form, and every integral the energy
-and the observables need is a sum over the radial nodes of a ``FixedRule``
-of f, f' and a few such moments of exp(-2 alpha r).  ``energy`` and
-``energy_derivatives`` (E, its gradient and its Hessian) take their sums
-from matrix products: f and f' times each of f, f' and their first and
-second parameter derivatives, and each first derivative times each, against
-the moment rows, which are the rule's parameter-free weights times one K0
-and one K1 of 2 alpha rho; the rest is scalar algebra.  ``observables`` takes its sums from the same moment rows,
-with one more row for |z| built from their weights.  ``energy`` and
-``observables`` work on a given rule or on the rule built at their
-parameters, and ``energy_derivatives`` on a rule held fixed for one point.
+psi = f(rho) exp(-alpha r), f = (1 - x^nu)(1 + gamma^2 rho^2)
+exp(-beta*B*rho^2) with x = rho/rho0 (0 at rho0 = inf), so the z integral
+of every term is a modified Bessel function of 2 alpha rho in closed form,
+and every integral the energy and the observables need is a sum over the
+radial nodes of a ``FixedRule`` of f, f' and a few such moments of
+exp(-2 alpha r).  ``energy`` and ``energy_derivatives`` (E, its gradient
+and its Hessian in the solver's coordinates alpha, beta*B, ln nu and gamma)
+take their sums from matrix products: f and f' times each of f, f' and
+their first and second derivatives, and each first derivative times each,
+against the moment rows, the rule's weights times one K0 and one K1 of
+2 alpha rho.  ``observables`` takes its sums from the same moment rows, and
+one more for |z|.  ``energy`` and ``observables`` work on a given rule or
+on the rule built at their parameters, ``energy_derivatives`` on a rule
+held fixed for one point.
 No 2-D field of psi is formed; ``trialfn.evaluate`` serves as the tests'
 node-by-node oracle.
 The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
@@ -99,7 +101,7 @@ class FixedRule:
 
     rho: np.ndarray       # radial nodes
     rho2: np.ndarray      # rho^2
-    x: np.ndarray | None  # rho/rho0 at finite rho0
+    x: np.ndarray         # rho/rho0, 0 at rho0 = inf
     rho_max: float
     # The moment rows (``_moment_rows``) are k0_weights K0(2 alpha rho),
     # then k1_weights K1(2 alpha rho).  Each weight row is a power of rho
@@ -127,7 +129,7 @@ class FixedRule:
 
     @cached_property
     def ln_x(self) -> np.ndarray:
-        """ln(rho/rho0), for dp/dnu: built once a solve with nu free asks."""
+        """ln(rho/rho0), for the rows in ln nu: built once a solve frees nu."""
         return np.log(self.x)
 
 
@@ -142,7 +144,7 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
     """The rule ``energy`` uses at ``params``, to hold fixed for a solve."""
     rho_max = _radial_extent(params, cfg)
     rho, weight = cylinder_grid(rho_max, spec)
-    x = None if math.isinf(cfg.rho0) else rho / cfg.rho0
+    x = rho / cfg.rho0
     rho2 = rho * rho
     weight = 2.0 * weight
     w_rho = weight * rho
@@ -167,60 +169,65 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
     """The prefactor p(rho); on the radial nodes, as one array, the rows
     f, f' of f = p exp(-beta*B*rho^2), then df/dtheta_i, df'/dtheta_i for
-    the k parameters theta_i of ``wrt`` other than alpha, then
-    d2f/dtheta_i dtheta_j, d2f'/dtheta_i dtheta_j for each (i, j), i <= j,
-    of the list returned last.
+    the k coordinates theta_i of ``wrt`` other than alpha (beta*B, ln nu,
+    gamma), then d2f/dtheta_i dtheta_j, d2f'/dtheta_i dtheta_j for each
+    (i, j), i <= j, of the list returned last.
 
-    Each pair of rows is (q G, (q G)') for G = exp(-beta*B*rho^2) and a
-    prefactor q: p, or its derivative in nu or gamma.  beta acts through G
-    alone, and each derivative in it multiplies q by -B rho^2."""
-    rho = rule.rho
-    B = cfg.B
-    if rule.x is None:
-        g = 0.0 if params.gamma is None else params.gamma
-        p, dp = 1.0 + g**2 * rule.rho2, (2.0 * g**2) * rho
-    else:
-        x_nu1 = rule.x ** (params.nu - 1.0)
-        x_nu = x_nu1 * rule.x
-        p, dp = 1.0 - x_nu, (-params.nu / cfg.rho0) * x_nu1
-    c = params.beta * B
+    p = (1 - x^nu)(1 + gamma^2 rho^2), x = rho/rho0: x = 0 at rho0 = inf,
+    and gamma = 0 at finite rho0, where the second factor is 1 and is not
+    multiplied in.  beta*B acts through G = exp(-beta*B*rho^2) alone, and
+    each derivative in it multiplies f by -rho^2."""
+    rho, x, nu = rule.rho, rule.x, params.nu
+    names = [name for name in wrt if name != "alpha"]
+    x_nu1 = x ** (nu - 1.0)
+    x_nu = x_nu1 * x
+    dp = (-nu / cfg.rho0) * x_nu1
+    # (q, q') for q = 1 - x^nu and its first and second derivatives in
+    # ln nu: x^nu = exp(nu ln x), so d(x^nu)/d ln nu = u x^nu, u = nu ln x
+    cut = [(1.0 - x_nu, dp)]
+    if "nu" in names:
+        w = -nu * rule.ln_x  # -u
+        q1, u1 = x_nu * w, 1.0 - w
+        cut += [(q1, dp * u1), (q1 * u1, dp * (u1 * u1 - w))]
+    # the same for q = 1 + gamma^2 rho^2 (None where it is 1) in gamma
+    g = params.gamma or 0.0
+    poly = [(1.0 + g**2 * rule.rho2, (2.0 * g**2) * rho) if g else None]
+    if "gamma" in names:
+        poly += [((2.0 * g) * rule.rho2, (4.0 * g) * rho),
+                 (2.0 * rule.rho2, 4.0 * rho)]
+    c = params.beta * cfg.B
     if c:
         gauss = np.exp(-c * rule.rho2)
         slope = (2.0 * c) * rho
 
-        def times_gauss(q, dq):
-            # (q G)' = (q' - 2 c rho q) G
+    def pair(*keys):
+        """(q G, (q G)') for q the derivative of p in ``keys``."""
+        (q, dq), r = cut[keys.count("nu")], poly[keys.count("gamma")]
+        if r is not None:  # (q r)' = q' r + q r'
+            q, dq = q * r[0], dq * r[0] + q * r[1]
+        if c:  # (q G)' = (q' - 2 c rho q) G
             return q * gauss, (dq - slope * q) * gauss
-    else:  # G = 1
-        def times_gauss(q, dq):
-            return q, dq
+        return q, dq
 
-    rows = times_gauss(p, dp)
-    names = [name for name in wrt if name != "alpha"]
+    p = cut[0][0] if poly[0] is None else cut[0][0] * poly[0][0]
+    rows = pair()
     if not names:
         return p, np.array(rows), []
-    if not set(names) <= {"beta", "gamma" if rule.x is None else "nu"}:
+    if not set(names) <= {"beta", "nu", "gamma"}:
         raise ValueError(f"unknown parameter names: {names}")
-    # d1, d2: (q G, (q G)') for q = dp/dgamma and d2p/dgamma2, or in nu
-    if rule.x is None:
-        d1 = times_gauss(2.0 * g * rule.rho2, 4.0 * g * rho)
-        d2 = times_gauss(2.0 * rule.rho2, 4.0 * rho)
-    elif "nu" in names:
-        ln_x = rule.ln_x
-        p_nu = -x_nu * ln_x
-        d1 = times_gauss(p_nu, dp * (ln_x + 1.0 / params.nu))
-        d2 = times_gauss(p_nu * ln_x, dp * ln_x * (ln_x + 2.0 / params.nu))
+    if "beta" in names:  # b = -rho^2 and b'
+        b, db = -rule.rho2, -2.0 * rho
 
     def times_b(f, df):
-        """d/dbeta of (f, f'): (b f, (b f)') for b = -B rho^2."""
-        b = -B * rule.rho2
-        return b * f, b * df - (2.0 * B) * rho * f
+        """d/d(beta B) of (f, f'): (b f, (b f)')."""
+        return b * f, b * df + db * f
 
-    first = [times_b(*rows) if name == "beta" else d1 for name in names]
+    first = [times_b(*rows) if name == "beta" else pair(name)
+             for name in names]
     pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
     second = [times_b(*first[j]) if names[i] == "beta" else
-              times_b(*first[i]) if names[j] == "beta" else d2
-              for i, j in pairs]
+              times_b(*first[i]) if names[j] == "beta" else
+              pair(names[i], names[j]) for i, j in pairs]
     return p, np.array([*rows, *(r for d in first + second for r in d)]), pairs
 
 
@@ -238,7 +245,8 @@ def _moment_rows(alpha: float, rule: FixedRule) -> np.ndarray:
 def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
                    wrt: tuple[str, ...]):
     """N, the numerators of the kinetic, Coulomb and Zeeman terms, E, and
-    dE/dtheta and d2E/dtheta dphi for theta, phi in ``wrt``.
+    dE/dtheta and d2E/dtheta dphi for the coordinates theta, phi in ``wrt``
+    (see ``energy_derivatives``).
 
     |grad psi|^2 = h^2 [f'^2 - 2 alpha f f' rho/r + alpha^2 f^2] with
     h = exp(-alpha r), so N = sum f^2 m_1, K = sum (f'^2 + alpha^2 f^2) m_1
@@ -246,7 +254,7 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     and E = (K/2 + V)/N, exact for the rule's nodes and weights.  K/2 + V
     and N are quadratic forms A and M in (f, f'); with L = A - E M at E held
     fixed, N E_theta = L_theta and N E_theta,phi = L_theta,phi
-    - E_theta N_phi - E_phi N_theta.  The parameters other than alpha act
+    - E_theta N_phi - E_phi N_theta.  The coordinates other than alpha act
     on f alone: L_theta = 2 L(f, f_theta) and L_theta,phi = 2 L(f_theta,
     f_phi) + 2 L(f, f_theta,phi).  alpha acts through the explicit alpha in
     K and through the moments, dm_c/dalpha = -2 m_{r c}.  Each term is a
@@ -369,7 +377,8 @@ def energy_derivatives(params: TrialParams, cfg: SystemConfig,
                        ) -> tuple[float, list[float], list[list[float]]]:
     """Rayleigh quotient E on a fixed rule, dE/dtheta and the Hessian
     d2E/dtheta dphi for theta, phi in ``wrt``, from the sums of
-    ``_rayleigh_sums``."""
+    ``_rayleigh_sums``.  The coordinates are the solver's: alpha, beta*B
+    for "beta", ln nu for "nu", and gamma."""
     return _rayleigh_sums(params, cfg, rule, wrt)[4:]
 
 

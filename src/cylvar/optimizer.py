@@ -2,20 +2,22 @@
 
 Newton steps on the exact gradient and Hessian of E
 (``hamiltonian.energy_derivatives``) on one radial quadrature rule held
-fixed for each point, unless a solve's density outruns it.  A request names only what it pins; every other
-parameter that acts at its (B, rho0) is free (``OptimizeRequest.free_params``),
-and one that acts on nothing there keeps its ``TrialParams`` default.  Each
-point is one solve per basin of the energy (two when beta and nu are both
-free, else one), each from its own start; the other starts run only when
-one of those solves ends unconverged or on a bound.  Lower bounds from
-``trialfn.admissible_bounds`` keep every step admissible.
+fixed for each point, unless a solve's density outruns it.  A request
+names only what it pins; every other parameter that acts at its (B, rho0)
+is free (``OptimizeRequest.free_params``), and one that acts on nothing
+there keeps its ``TrialParams`` default.  Each point is one solve per basin
+of the energy (two when beta and nu are both free, else one), each from its
+own start; the other starts run only when one of those solves ends
+unconverged or on a bound.  Lower bounds from ``trialfn.admissible_bounds``
+keep every step admissible.
 
-The solver steps in alpha, beta*B, ln nu and gamma: psi depends on beta
-only through beta*B, and E flattens in nu as nu grows, so a step in ln nu
-reaches further where E is flat; nu >= 1 is the bound ln nu >= 0.  scipy
-offers no bounded method on an exact Hessian at this cost (``trust-exact``
-has no bounds and spends several kernel evaluations' time per iteration
-outside the objective), so the loop is hand-written on Python floats.
+The solver steps in alpha, beta*B, ln nu and gamma, the coordinates the
+kernel differentiates in: psi depends on beta only through beta*B, and E
+flattens in nu as nu grows, so a step in ln nu reaches further where E is
+flat; nu >= 1 is the bound ln nu >= 0.  scipy offers no bounded method on
+an exact Hessian at this cost (``trust-exact`` has no bounds and spends
+several kernel evaluations' time per iteration outside the objective), so
+the loop is hand-written on Python floats.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ _MAX_RULES = 16  # per solve, see _run_single_start
 # either, and a Newton step there unbounded.
 _MAX_LN_NU_STEP = 1.0
 _MAX_GAUSS_STEP = 64.0
-_MIN_BETA_SCALE = 1e-150  # see OptimizeRequest._layout
 # The box is closed: a strict bound moves this far inside.
 _STRICT_MARGIN = 1e-8
 
@@ -122,11 +123,9 @@ class OptimizeRequest:
     def _layout(self) -> tuple[tuple[str, float | None], ...]:
         """(name, scale) of each free parameter: its solver coordinate is
         scale times the parameter, or ln nu for a scale of None.  Resolved
-        once, since ``build_params`` runs on every objective evaluation.
-        The floor on B in beta's scale keeps beta = x/B finite."""
-        beta_scale = max(self.cfg.B, _MIN_BETA_SCALE)
+        once, since ``build_params`` runs on every objective evaluation."""
         return tuple((name, None if name == "nu" else
-                      beta_scale if name == "beta" else 1.0)
+                      self.cfg.B if name == "beta" else 1.0)
                      for name in self.free_params)
 
     def build_params(self, x: Sequence[float]) -> TrialParams:
@@ -166,27 +165,6 @@ class OptimizeResult:
     # The rule the solves ran on, for the observables at the optimum.
     rule: hamiltonian.FixedRule | None = field(default=None, compare=False,
                                                repr=False)
-
-
-def _objective(req: OptimizeRequest, rule: hamiltonian.FixedRule):
-    """E on ``rule``, its gradient and its Hessian in solver coordinates,
-    as a function of those coordinates.  d(parameter)/d(coordinate) is
-    1/scale, or nu for y = ln nu, where also d2E/dy2 = nu^2 d2E/dnu2
-    + nu dE/dnu."""
-    log_nu = [i for i, (_, s) in enumerate(req._layout) if s is None]
-
-    def objective(x):
-        params = req.build_params(x)
-        e, grad, hess = hamiltonian.energy_derivatives(params, req.cfg, rule,
-                                                       req.free_params)
-        c = [params.nu if s is None else 1.0 / s for _, s in req._layout]
-        g = [gi * ci for gi, ci in zip(grad, c)]
-        h = [[hij * ci * cj for hij, cj in zip(row, c)]
-             for row, ci in zip(hess, c)]
-        for i in log_nu:
-            h[i][i] += g[i]
-        return e, g, h
-    return objective
 
 
 def _cholesky(a, tau):
@@ -242,9 +220,12 @@ def _newton(req: OptimizeRequest, rule: hamiltonian.FixedRule,
     by _ARMIJO of what g predicts, a point where g predicts no fall left
     untried."""
     caps = [_MAX_LN_NU_STEP if s is None else
-            _MAX_GAUSS_STEP * s / (req.cfg.B * rule.rho_max**2)
-            if name == "beta" else math.inf for name, s in req._layout]
-    objective = _objective(req, rule)
+            _MAX_GAUSS_STEP / rule.rho_max**2 if name == "beta" else math.inf
+            for name, s in req._layout]
+
+    def objective(x):  # E, gradient and Hessian in the solver coordinates
+        return hamiltonian.energy_derivatives(req.build_params(x), req.cfg,
+                                              rule, req.free_params)
     e, g, h = objective(x)
     evals, converged, accepted = evals + 1, False, True
     while accepted and evals < _MAX_EVALS:

@@ -44,6 +44,11 @@ class TrialParams:
     gamma: float | None = None
 
 
+# The least B > 0: the solver steps in beta*B, and beta = (beta*B)/B
+# overflows for ordinary Gaussian widths once B nears the smallest normal.
+_MIN_FIELD = 1e-300
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical setting: field strength, cavity radius, Coulomb term on/off."""
@@ -55,6 +60,10 @@ class SystemConfig:
     def __post_init__(self):
         if not 0 <= self.B < math.inf:
             raise ValueError(f"B = {self.B!r} must be finite and non-negative")
+        if 0 < self.B < _MIN_FIELD:
+            raise ValueError(f"B = {self.B!r} must be 0 or at least "
+                             f"{_MIN_FIELD:g}, where beta = (beta*B)/B "
+                             f"stays finite")
         if not self.rho0 > 0:
             raise ValueError("rho0 must be positive (possibly inf)")
 

@@ -80,11 +80,15 @@ def test_wide_cavity_binding_is_served(capsys):
     (["--rho0", "2", "--gamma", "0.3"], "gamma"),
     (["--B", "0", "--rho0", "2", "--alpha", "1.1", "--beta", "0.3",
       "--nu", "3.5"], "beta"),
+    # below this field beta = (beta*B)/B would overflow for an ordinary
+    # Gaussian width: the config refuses it
+    (["--B", "1e-301", "--rho0", "2"], "B"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     code, out, err = run(["energy", "--nodes", "48"] + argv, capsys)
     assert code == 1
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert err.startswith(f"cylvar: error: {name}")
 
 

@@ -122,7 +122,21 @@ GRADIENT_STATES = [
      ("alpha", "nu")),
     (TrialParams(alpha=1.1, beta=0.0, gamma=0.3),
      SystemConfig(B=0.0, rho0=math.inf), ("alpha", "gamma")),
+    # A tiny field: beta*B = -0.088 is an ordinary width, though beta is
+    # -8.8e197.
+    (TrialParams(alpha=1.1, beta=-0.088 / 1e-200, nu=2.5),
+     SystemConfig(B=1e-200, rho0=2.0), ("alpha", "beta", "nu")),
 ]
+
+
+def moved(params, cfg, name, step):
+    """``params`` moved by ``step`` along the solver coordinate of
+    ``name`` that ``energy_derivatives`` differentiates in: beta*B, ln nu,
+    or the parameter itself."""
+    v = getattr(params, name)
+    return replace(params, **{name: v * math.exp(step) if name == "nu" else
+                              v + step / cfg.B if name == "beta" else
+                              v + step})
 
 
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
@@ -134,9 +148,8 @@ def test_energy_gradient_matches_central_differences(params, cfg, wrt):
     h = 1e-6
     fd = []
     for name in wrt:
-        v = getattr(params, name)
-        up, dn = (energy_derivatives(replace(params, **{name: v + step}),
-                                     cfg, rule, ())[0] for step in (h, -h))
+        up, dn = (energy_derivatives(moved(params, cfg, name, step), cfg,
+                                     rule, ())[0] for step in (h, -h))
         fd.append((up - dn) / (2.0 * h))
     np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
@@ -144,15 +157,14 @@ def test_energy_gradient_matches_central_differences(params, cfg, wrt):
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_energy_hessian_matches_central_differences(params, cfg, wrt):
     # The exact Hessian, against central differences of the analytic
-    # gradient on the same rule.
+    # gradient on the same rule, both in the solver coordinates.
     rule = fixed_rule(params, cfg, SPEC)
     _, _, hess = energy_derivatives(params, cfg, rule, wrt)
     h = 1e-5
     fd = []
     for name in wrt:
-        v = getattr(params, name)
-        up, dn = (energy_derivatives(replace(params, **{name: v + step}),
-                                     cfg, rule, wrt)[1] for step in (h, -h))
+        up, dn = (energy_derivatives(moved(params, cfg, name, step), cfg,
+                                     rule, wrt)[1] for step in (h, -h))
         fd.append((np.array(up) - np.array(dn)) / (2.0 * h))
     np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-9)
 

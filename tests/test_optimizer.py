@@ -146,6 +146,13 @@ def test_zero_field_scan_evals_per_point():
     assert sum(r.evals for r in records) <= 9 * len(records)
 
 
+def solver_objective(req, rule):
+    """The function of the solver coordinates x that the Newton steps
+    take: E, gradient and Hessian from the kernel at ``build_params(x)``."""
+    return lambda x: hamiltonian.energy_derivatives(
+        req.build_params(x), req.cfg, rule, req.free_params)
+
+
 @pytest.mark.parametrize("cfg,names", [
     (SystemConfig(B=0.0, rho0=2.0), ("alpha", "nu")),
     (SystemConfig(B=0.4, rho0=2.0), ("alpha", "beta", "nu")),
@@ -159,7 +166,7 @@ def test_objective_gradient_is_in_solver_coordinates(cfg, names):
     assert req.free_params == names
     x = np.array(req.start_vector(req.starts[0])) + 0.05
     rule = hamiltonian.fixed_rule(req.build_params(x), cfg, SPEC)
-    objective = optimizer._objective(req, rule)
+    objective = solver_objective(req, rule)
     _, grad, _ = objective(x)
     h = 1e-6
     fd = [(objective(x + h * unit)[0] - objective(x - h * unit)[0]) / (2 * h)
@@ -180,12 +187,12 @@ def test_objective_gradient_is_in_solver_coordinates(cfg, names):
 def test_objective_hessian_is_in_solver_coordinates(cfg, names):
     # The exact Hessian the Newton steps take, against central differences
     # of the analytic gradient in alpha, beta*B, ln nu and gamma; in ln nu
-    # it carries the extra nu dE/dnu of the chain rule.
+    # it carries the nu dE/dnu of d2/d(ln nu)^2 = nu^2 d2/dnu2 + nu d/dnu.
     req = default_request(cfg)
     assert req.free_params == names
     x = np.array(req.start_vector(req.starts[0])) + 0.05
     rule = hamiltonian.fixed_rule(req.build_params(x), cfg, SPEC)
-    objective = optimizer._objective(req, rule)
+    objective = solver_objective(req, rule)
     _, _, hess = objective(x)
     h = 1e-5
     fd = [(np.array(objective(x + h * unit)[1])
@@ -230,14 +237,14 @@ def test_flat_nu_moves_off_its_start():
 
 
 def test_tiny_field_moves_beta():
-    # Below B = 1e-150 beta's solver coordinate is beta * 1e-150, so beta*B
-    # moves by only B/1e-150 per unit of it.  The Newton step is invariant
-    # to that scale, and its cap is set in beta*B: the solve reaches the
-    # B -> 0 limit of the B > 0 family, as at B = 1e-6.
+    # The solver steps in beta*B, whose scale does not depend on B, so even
+    # at the least B a SystemConfig takes the solve reaches the B -> 0
+    # limit of the B > 0 family, as at B = 1e-6.
     ref = minimize(default_request(SystemConfig(B=1e-6, rho0=2.0)), SPEC)
-    res = minimize(default_request(SystemConfig(B=1e-160, rho0=2.0)), SPEC)
-    assert res.converged
-    assert res.energy.total == pytest.approx(ref.energy.total, abs=1e-12)
+    for B in (1e-160, 1e-300):
+        res = minimize(default_request(SystemConfig(B=B, rho0=2.0)), SPEC)
+        assert res.converged
+        assert res.energy.total == pytest.approx(ref.energy.total, abs=1e-12)
 
 
 def test_off_basin_start_does_not_overflow(monkeypatch):

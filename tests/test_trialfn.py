@@ -65,7 +65,8 @@ def test_rho_outside_cavity_raises():
 
 @pytest.mark.parametrize("bad", [dict(B=-0.1), dict(B=math.nan),
                                  dict(B=math.inf), dict(rho0=0.0),
-                                 dict(rho0=math.nan)])
+                                 dict(rho0=math.nan), dict(B=1e-301),
+                                 dict(B=5e-324)])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         SystemConfig(**bad)
