@@ -237,9 +237,9 @@ def test_flat_nu_moves_off_its_start():
 
 
 def test_tiny_field_moves_beta():
-    # The solver steps in beta*B, whose scale does not depend on B, so even
-    # at the least B a SystemConfig takes the solve reaches the B -> 0
-    # limit of the B > 0 family, as at B = 1e-6.
+    # The solver steps in beta*B, whose scale does not depend on B, so the
+    # solve reaches the B -> 0 limit of the B > 0 family, as at B = 1e-6,
+    # down to 1e-300, the least B > 0 a SystemConfig takes.
     ref = minimize(default_request(SystemConfig(B=1e-6, rho0=2.0)), SPEC)
     for B in (1e-160, 1e-300):
         res = minimize(default_request(SystemConfig(B=B, rho0=2.0)), SPEC)
