@@ -11,9 +11,11 @@ take their sums from matrix products: f and f' times each of f, f' and
 their first and second derivatives, and each first derivative times each,
 against the moment rows, the rule's weights times one K0 and one K1 of
 2 alpha rho.  ``observables`` takes its sums from the same moment rows, and
-one more for |z|.  ``energy`` and ``observables`` work on a given rule or
-on the rule built at their parameters, ``energy_derivatives`` on a rule
-held fixed for one point.
+one more for |z|.  ``energy`` and ``observables`` work on the rule
+``rule_for`` picks, the one place that decides which rule serves a point:
+a given rule if it resolves E at their parameters, else the rule built
+there, and an ArithmeticError if that does not resolve E either.
+``energy_derivatives`` works on a rule held fixed for one point.
 No 2-D field of psi is formed; ``trialfn.evaluate`` serves as the tests'
 node-by-node oracle.
 The kinetic energy uses the gradient form (1/2) int |grad psi|^2, which is
@@ -44,6 +46,7 @@ __all__ = [
     "energy",
     "FixedRule",
     "fixed_rule",
+    "rule_for",
     "energy_derivatives",
     "observables",
     "reference_energy",
@@ -77,26 +80,14 @@ class Observables:
 _LN_CUT = -4.0 * math.log(np.finfo(float).eps)
 
 
-def _radial_extent(params: TrialParams, cfg: SystemConfig) -> float:
-    """The radius a rule built at ``params`` reaches: rho0, or the positive
-    root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is nearer.  No
-    such root bounds the density when beta B < 0."""
-    c = params.beta * cfg.B
-    if c < 0:
-        return cfg.rho0
-    return min(cfg.rho0, _LN_CUT / (params.alpha + math.hypot(
-        params.alpha, math.sqrt(2.0 * c * _LN_CUT))))
-
-
 @dataclass(frozen=True)
 class FixedRule:
     """A radial quadrature rule with its parameter-free arrays, held fixed
-    for one point's solves, or built for one ``energy`` or ``observables``
-    call.
+    for one point's solves while it resolves E there (``rule_for``).
 
     The nodes lie on [0, rho_max], where rho_max is rho0 or, if nearer,
     the radius beyond which the density at the parameters the rule was
-    built at is negligible (``_radial_extent``).
+    built at is negligible (``fixed_rule``).
     """
 
     rho: np.ndarray       # radial nodes
@@ -110,22 +101,28 @@ class FixedRule:
     k1_weights: np.ndarray
 
     def resolves(self, params: TrialParams, cfg: SystemConfig) -> bool:
-        """Whether E at ``params`` on the rule is E to rounding: from the
-        rule's end to rho0, psi^2 at z = 0 stays below eps^2 of its value
-        at the nucleus, or at rho = 2/alpha if that is higher (rho0 = inf,
-        where p grows as gamma^2 rho^2).  At finite rho0, where p <= 1, its
-        log is at most -2 rho (alpha + beta B rho), convex or falling, so
-        both ends decide; at rho0 = inf it falls beyond 2/alpha."""
-        if self.rho_max >= cfg.rho0:
-            return True
+        """Whether E at ``params`` on the rule is E to rounding: psi^2 at
+        z = 0 is below eps^2 of its value at the nucleus, or at rho = 2/alpha
+        if that is higher (rho0 = inf, where p grows as gamma^2 rho^2), from
+        the rule's end to rho0, and two nodes lie in the wall layer [rho_w,
+        rho0], rho_w = rho0 2^(-1/nu) where 1 - x^nu falls to 1/2, unless
+        psi^2 is that small at rho_w.  At finite rho0, where p <= 1, its log
+        is at most -2 rho (alpha + beta B rho), convex or falling, so both
+        ends decide; at rho0 = inf it falls beyond 2/alpha."""
         g = params.gamma or 0.0
         c = params.beta * cfg.B
 
         def ln_psi2(r):
             return 2.0 * (math.log1p((g * r)**2) - r * (params.alpha + c * r))
-        peak = max(0.0, ln_psi2(min(self.rho_max, 2.0 / params.alpha)))
-        ends = (self.rho_max, cfg.rho0) if c < 0 else (self.rho_max,)
-        return all(ln_psi2(r) - peak <= -0.5 * _LN_CUT for r in ends)
+        floor = max(0.0, ln_psi2(min(self.rho_max, 2.0 / params.alpha))
+                    ) - 0.5 * _LN_CUT
+        ends = (() if self.rho_max >= cfg.rho0 else (self.rho_max, cfg.rho0)
+                if c < 0 else (self.rho_max,))
+        if any(ln_psi2(r) > floor for r in ends):
+            return False
+        rho_w = cfg.rho0 * 2.0 ** (-1.0 / params.nu)
+        return (math.isinf(cfg.rho0) or self.rho[-2] >= rho_w
+                or ln_psi2(rho_w) <= floor)
 
     @cached_property
     def ln_x(self) -> np.ndarray:
@@ -141,8 +138,12 @@ M_R0, M_RHO, M_INV_R, R2_MR0, M1, R2_M1, RHO_M1 = range(7)
 
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
                spec: QuadratureSpec) -> FixedRule:
-    """The rule ``energy`` uses at ``params``, to hold fixed for a solve."""
-    rho_max = _radial_extent(params, cfg)
+    """The rule built at ``params``: its nodes stop at rho0, or at the
+    positive root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is
+    nearer.  No such root bounds the density when beta B < 0."""
+    a, c = params.alpha, params.beta * cfg.B
+    rho_max = cfg.rho0 if c < 0 else min(
+        cfg.rho0, _LN_CUT / (a + math.hypot(a, math.sqrt(2.0 * c * _LN_CUT))))
     rho, weight = cylinder_grid(rho_max, spec)
     x = rho / cfg.rho0
     rho2 = rho * rho
@@ -156,12 +157,17 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
         k1_weights=np.array([w_rho, w_rho3, w_rho2]))
 
 
-def _rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
-              rule: FixedRule | None) -> FixedRule:
-    """``rule`` if given and it reaches as far as the density at ``params``,
-    else the rule built at ``params``."""
-    if rule is None or _radial_extent(params, cfg) > rule.rho_max:
-        return fixed_rule(params, cfg, spec)
+def rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
+             rule: FixedRule | None = None) -> FixedRule:
+    """``rule`` if given and it resolves E at ``params``
+    (``FixedRule.resolves``), else the rule built at ``params``.  Raises
+    ArithmeticError if that does not resolve E there either."""
+    if rule is None or not rule.resolves(params, cfg):
+        rule = fixed_rule(params, cfg, spec)
+        if not rule.resolves(params, cfg):
+            raise ArithmeticError(f"the {spec.n_rho}-node radial rule misses "
+                                  f"the density or the cut-off's wall layer "
+                                  f"(nu = {params.nu:g}) at {params}")
     return rule
 
 
@@ -173,28 +179,33 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
     gamma), then d2f/dtheta_i dtheta_j, d2f'/dtheta_i dtheta_j for each
     (i, j), i <= j, of the list returned last.
 
-    p = (1 - x^nu)(1 + gamma^2 rho^2), x = rho/rho0: x = 0 at rho0 = inf,
-    and gamma = 0 at finite rho0, where the second factor is 1 and is not
-    multiplied in.  beta*B acts through G = exp(-beta*B*rho^2) alone, and
-    each derivative in it multiplies f by -rho^2."""
-    rho, x, nu = rule.rho, rule.x, params.nu
+    p is 1 - x^nu, x = rho/rho0, at finite rho0, and 1 + gamma^2 rho^2 at
+    rho0 = inf, where 1 - x^nu is 1 (x = 0) and gamma is the one of the two
+    that acts.  beta*B acts through G = exp(-beta*B*rho^2) alone, and each
+    derivative in it multiplies f by -rho^2."""
+    rho = rule.rho
     names = [name for name in wrt if name != "alpha"]
-    x_nu1 = x ** (nu - 1.0)
-    x_nu = x_nu1 * x
-    dp = (-nu / cfg.rho0) * x_nu1
-    # (q, q') for q = 1 - x^nu and its first and second derivatives in
-    # ln nu: x^nu = exp(nu ln x), so d(x^nu)/d ln nu = u x^nu, u = nu ln x
-    cut = [(1.0 - x_nu, dp)]
-    if "nu" in names:
-        w = -nu * rule.ln_x  # -u
-        q1, u1 = x_nu * w, 1.0 - w
-        cut += [(q1, dp * u1), (q1 * u1, dp * (u1 * u1 - w))]
-    # the same for q = 1 + gamma^2 rho^2 (None where it is 1) in gamma
-    g = params.gamma or 0.0
-    poly = [(1.0 + g**2 * rule.rho2, (2.0 * g**2) * rho) if g else None]
-    if "gamma" in names:
-        poly += [((2.0 * g) * rule.rho2, (4.0 * g) * rho),
-                 (2.0 * rule.rho2, 4.0 * rho)]
+    if math.isinf(cfg.rho0):
+        # (q, q') for q = p = 1 + gamma^2 rho^2 and its first and second
+        # derivatives in gamma
+        g = params.gamma or 0.0
+        qs = [(1.0 + g**2 * rule.rho2, (2.0 * g**2) * rho) if g else
+              (np.ones_like(rho), np.zeros_like(rho))]
+        if "gamma" in names:
+            qs += [((2.0 * g) * rule.rho2, (4.0 * g) * rho),
+                   (2.0 * rule.rho2, 4.0 * rho)]
+    else:
+        # the same for q = p = 1 - x^nu in ln nu: x^nu = exp(nu ln x), so
+        # d(x^nu)/d ln nu = u x^nu with u = nu ln x
+        nu = params.nu
+        x_nu1 = rule.x ** (nu - 1.0)
+        x_nu = x_nu1 * rule.x
+        dp = (-nu / cfg.rho0) * x_nu1
+        qs = [(1.0 - x_nu, dp)]
+        if "nu" in names:
+            w = -nu * rule.ln_x  # -u
+            q1, u1 = x_nu * w, 1.0 - w
+            qs += [(q1, dp * u1), (q1 * u1, dp * (u1 * u1 - w))]
     c = params.beta * cfg.B
     if c:
         gauss = np.exp(-c * rule.rho2)
@@ -202,19 +213,17 @@ def _radial_factor(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
 
     def pair(*keys):
         """(q G, (q G)') for q the derivative of p in ``keys``."""
-        (q, dq), r = cut[keys.count("nu")], poly[keys.count("gamma")]
-        if r is not None:  # (q r)' = q' r + q r'
-            q, dq = q * r[0], dq * r[0] + q * r[1]
+        q, dq = qs[len(keys)]
         if c:  # (q G)' = (q' - 2 c rho q) G
             return q * gauss, (dq - slope * q) * gauss
         return q, dq
 
-    p = cut[0][0] if poly[0] is None else cut[0][0] * poly[0][0]
+    p = qs[0][0]
     rows = pair()
     if not names:
         return p, np.array(rows), []
-    if not set(names) <= {"beta", "nu", "gamma"}:
-        raise ValueError(f"unknown parameter names: {names}")
+    if not set(names) <= {"beta", "gamma" if math.isinf(cfg.rho0) else "nu"}:
+        raise ValueError(f"parameter names that do not act at {cfg}: {names}")
     if "beta" in names:  # b = -rho^2 and b'
         b, db = -rule.rho2, -2.0 * rho
 
@@ -348,15 +357,15 @@ def _rayleigh_sums(params: TrialParams, cfg: SystemConfig, rule: FixedRule,
 def energy(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
            rule: FixedRule | None = None) -> EnergyBreakdown:
     """Term-by-term Rayleigh quotient for the (m=0, p=0) trial state: the
-    moment sums of ``energy_derivatives`` on ``rule`` when it reaches as far
-    as the density at ``params``, else on the rule built at ``params``.
+    moment sums of ``energy_derivatives`` on ``rule_for(params, cfg, spec,
+    rule)``.
 
     Raises ValueError for parameters outside the admissible set, and
-    ArithmeticError for a norm that is not finite and positive or a total
-    that is not finite.
+    ArithmeticError where no rule resolves E (``rule_for``), for a norm
+    that is not finite and positive, or for a total that is not finite.
     """
     check_admissible(vars(params), cfg)
-    rule = _rule_for(params, cfg, spec, rule)
+    rule = rule_for(params, cfg, spec, rule)
     norm, kinetic, coulomb, zeeman = _rayleigh_sums(params, cfg, rule,
                                                     ())[:4]
     if not (math.isfinite(norm) and norm > 0):
@@ -385,7 +394,8 @@ def energy_derivatives(params: TrialParams, cfg: SystemConfig,
 def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
                 rule: FixedRule | None = None) -> Observables:
     """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp,
-    from the moment rows on the rule ``energy`` would take.
+    from the moment rows on the rule ``energy`` takes, ``rule_for(params,
+    cfg, spec, rule)``, which raises ArithmeticError where none resolves E.
 
     The density is f^2 h^2 / N with N = sum f^2 m_1, so <rho> = sum f^2 rho
     m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = int |z| h^2 dz times the
@@ -393,7 +403,7 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     S = -<ln(f^2 h^2 / N)> = ln N - (2/N) sum f^2 ln f m_1 + (2 alpha/N)
     sum f^2 m_r, where sum f^2 m_r = sum f^2 M_R0 + N / (2 alpha).
     """
-    rule = _rule_for(params, cfg, spec, rule)
+    rule = rule_for(params, cfg, spec, rule)
     moments = _moment_rows(params.alpha, rule)
     m1 = moments[M1]
     p, (f, _), _ = _radial_factor(params, cfg, rule, ())
@@ -420,8 +430,6 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
 
 def reference_energy(cfg: SystemConfig) -> float:
     """Coulomb-free ground energy E0 of the same cavity and field."""
-    if math.isinf(cfg.rho0):
-        return 0.5 * cfg.B
     return landau_cylinder_energy(cfg.B, cfg.rho0)
 
 

@@ -261,10 +261,10 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
                       ) -> tuple[OptimizeResult, bool]:
     """One solve from start ``start_index``, and whether it ended with a
     free parameter on its lower bound.  It runs on ``rule``; one that ends
-    where the rule does not resolve E (``FixedRule.resolves``) minimized a
-    truncated E, and goes on from there on the rule built at that point,
-    up to _MAX_RULES rules.  It converges only on a rule that resolves E
-    at its end."""
+    where the rule does not resolve E minimized a truncated E, and goes on
+    from there on the rule ``hamiltonian.rule_for`` gives that point, up to
+    _MAX_RULES rules.  It converges only on a rule that resolves E at its
+    end."""
     lows = req.lower_bounds()
     x = [v if lo is None else max(v, lo) for v, lo in
          zip(req.start_vector(req.starts[start_index]), lows)]
@@ -275,10 +275,10 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
         for _ in range(_MAX_RULES):
             x, evals, converged = _newton(req, rule, x, lows, evals)
             params = req.build_params(x)
-            if rule.resolves(params, req.cfg):
+            served = hamiltonian.rule_for(params, req.cfg, spec, rule)
+            if served is rule:
                 break
-            rule = hamiltonian.fixed_rule(params, req.cfg, spec)
-            converged = False
+            rule, converged = served, False
     result = OptimizeResult(
         params=params, energy=hamiltonian.energy(params, req.cfg, spec, rule),
         evals=evals, converged=converged, start_index=start_index, rule=rule)
@@ -314,7 +314,7 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
     # One rule for every solve.  It depends on the first start only through
     # the radius beyond which that start's density is negligible; a solve
     # whose density ends beyond it goes on on a wider one.
-    rule = hamiltonian.fixed_rule(
+    rule = hamiltonian.rule_for(
         req.build_params(req.start_vector(req.starts[0])), req.cfg, spec)
     if not req.free_params:
         params = req.build_params(())

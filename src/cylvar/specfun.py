@@ -33,19 +33,17 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
     Delegates to the Bessel drum limit for z = B rho0^2 / 2 <= 1e-8.
     Otherwise the root lies in [max(B/2, drum), B/2 + drum] with drum =
     j01^2 / (2 rho0^2), and the Kummer function changes sign only once
-    there; it is found to 1e-14 of the bracket's top.  Raises ValueError
-    for rho0 = inf and for a rho0 so small that the drum energy overflows
-    a double.
+    there; it is found to 1e-14 of the bracket's top.  At rho0 = inf the
+    drum energy is 0 and E0 is the Landau level B/2.  Raises ValueError for
+    a rho0 so small that the drum energy overflows a double.
     """
-    if math.isinf(rho0):
-        raise ValueError("rho0 must be finite")
     r2 = rho0 * rho0
     drum = J01**2 / (2.0 * r2) if r2 > 0.0 else math.inf
     if not math.isfinite(drum):
         raise ValueError(
             f"rho0 = {rho0!r} is too small: the confinement energy "
             "j01^2 / (2 rho0^2) overflows a double")
-    z = 0.5 * B * r2
+    z = 0.5 * B * r2 if B else 0.0  # never 0 * inf
     if z <= _Z_DRUM_LIMIT:
         return drum
 

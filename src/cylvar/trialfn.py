@@ -35,7 +35,8 @@ __all__ = [
 class TrialParams:
     """Variational parameters of the trial state.
 
-    ``gamma`` selects the unconfined (rho0 = inf) variant when present.
+    ``gamma`` acts only in the unconfined variant, which rho0 = inf
+    selects; None means 0.
     """
 
     alpha: float

@@ -92,6 +92,27 @@ def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     assert err.startswith(f"cylvar: error: {name}")
 
 
+@pytest.mark.parametrize("pins", [["--nu", "1e300"],
+                                  ["--alpha", "1", "--nu", "1e300"],
+                                  ["--alpha", "1", "--nu", "1000"]])
+def test_pinned_nu_beyond_the_rule_exits_1(pins, capsys):
+    # Fewer than two of the 64 nodes lie in the cut-off's wall layer, where
+    # psi^2 is far from negligible: E on the rule misses the layer (below
+    # -1/2 at nu = 1e300), so it is refused, not printed.
+    code, out, err = run(["energy", "--B", "0", "--rho0", "2"] + pins, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "nu = " in err
+
+
+def test_pinned_nu_with_two_nodes_in_the_wall_layer_is_served(capsys):
+    code, out, _ = run(["energy", "--B", "0", "--rho0", "2", "--alpha", "1",
+                        "--nu", "79.3"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "1.87406826"
+
+
 def test_refused_request_exits_before_optimizing(monkeypatch, capsys):
     def minimize(*args):
         raise RuntimeError("minimize was called")

@@ -328,12 +328,14 @@ def test_rule_stops_where_the_density_is_negligible(monkeypatch):
     growing = replace(params, beta=-0.25)
     assert fixed_rule(growing, SystemConfig(B=4.0, rho0=1e3),
                       spec).rho_max == 1e3
-    # energy() rebuilds a rule that stops short of the density it is given,
-    # and takes one that reaches beyond it.
+    # energy() rebuilds a rule that does not resolve the density it is
+    # given, and takes one that reaches beyond it.  The rule built at
+    # alpha = 3 ends where psi^2 at alpha = 1 is e^-48, not negligible.
     cfg = SystemConfig(B=0.0, rho0=1e3)
     narrow = TrialParams(alpha=2.0, beta=0.0, nu=3.0)
     wide = replace(narrow, alpha=1.0)
-    short = fixed_rule(narrow, cfg, SPEC)
+    short = fixed_rule(replace(narrow, alpha=3.0), cfg, SPEC)
+    assert not short.resolves(wide, cfg)
     assert energy(wide, cfg, SPEC, short) == energy(wide, cfg, SPEC)
     assert energy(narrow, cfg, SPEC, fixed_rule(wide, cfg, SPEC)).total == \
         pytest.approx(energy(narrow, cfg, SPEC).total, abs=1e-12)
@@ -359,3 +361,21 @@ def test_rule_resolves_e_where_the_density_beyond_it_is_negligible():
     assert rule.resolves(TrialParams(alpha=1.0, beta=0.0, gamma=1e8), cfg)
     assert not rule.resolves(TrialParams(alpha=0.4, beta=0.0, gamma=1e8),
                              cfg)
+
+
+def test_rule_resolves_e_only_with_two_nodes_in_the_wall_layer():
+    # 1 - x^nu falls to 1/2 at rho_w = rho0 2^(-1/nu).  At (0, 2), alpha = 1
+    # and 64 nodes, the two outermost nodes lie in [rho_w, rho0] up to
+    # nu = 126.1: E is 8e-11 from the 4096-node value at nu = 79.3, 4.6e-9
+    # at nu = 128 with one node there.
+    cfg = SystemConfig(B=0.0, rho0=2.0)
+    for nu, resolved in ((79.3, True), (128.0, False), (1e300, False)):
+        params = TrialParams(alpha=1.0, nu=nu)
+        assert fixed_rule(params, cfg, SPEC).resolves(params, cfg) == resolved
+    with pytest.raises(ArithmeticError, match="wall layer"):
+        energy(TrialParams(alpha=1.0, nu=128.0), cfg, SPEC)
+    # At rho0 = 60 psi^2 at the wall is e^-120 of its peak: any nu serves.
+    cfg = SystemConfig(B=0.0, rho0=60.0)
+    params = TrialParams(alpha=1.0, nu=1000.0)
+    assert fixed_rule(params, cfg, SPEC).resolves(params, cfg)
+    assert energy(params, cfg, SPEC).total == pytest.approx(-0.5, abs=1e-12)

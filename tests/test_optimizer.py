@@ -330,6 +330,14 @@ def test_basin_starts_share_one_rule(monkeypatch):
     assert res.rule is not None
 
 
+def test_wide_cavity_point_record_builds_one_rule(monkeypatch):
+    # The solves, the energies at their ends and the observables all keep
+    # the rule minimize builds while it resolves E.
+    built = count_rules(monkeypatch)
+    point_record(SystemConfig(B=0.4, rho0=60.0), SPEC)
+    assert len(built) == 1
+
+
 def test_pinned_point_record_builds_one_rule(monkeypatch):
     built = count_rules(monkeypatch)
     fixed = {"alpha": 1.1, "beta": 0.1, "nu": 2.5}

@@ -142,6 +142,8 @@ def test_known_root_value():
         0.8294778, abs=1e-6)
 
 
-def test_infinite_radius_rejected():
-    with pytest.raises(ValueError):
-        landau_cylinder_energy(1.0, math.inf)
+def test_infinite_radius_gives_the_landau_level():
+    # At rho0 = inf the drum energy is 0, so the bracket [max(B/2, 0), B/2]
+    # is one double; at B = 0, z is 0 and never 0 * inf.
+    for B in (0.0, 1e-300, 0.5, 2.0, 1e11):
+        assert landau_cylinder_energy(B, math.inf) == 0.5 * B
