@@ -127,7 +127,7 @@ def cmd_compare2d(args) -> int:
         for r in args.rho0_list:
             cfg = _cfg_from(args, B=b, rho0=r)
             res = optimizer.minimize(optimizer.default_request(cfg), spec)
-            e2 = ground_energy_2d(b, r, grid2d)
+            e2 = ground_energy_2d(b, r, grid2d, cfg.coulomb_on)
             ratio = res.energy.total / e2
             lines.append(f"{format_float(r)} {format_float(ratio)} "
                          f"{format_float(b)}")
@@ -169,10 +169,11 @@ def cmd_verify_appendix(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, coulomb: bool = True):
     p.add_argument("--nodes", type=int, default=64,
                    help="radial quadrature nodes (default 64)")
-    p.add_argument("--coulomb", choices=_CHOICES["coulomb"], default="on")
+    if coulomb:
+        p.add_argument("--coulomb", choices=_CHOICES["coulomb"], default="on")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any flag")
 
@@ -225,7 +226,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare2d)
 
     p = sub.add_parser("fit-tail")
-    _add_common(p)
+    # The tail model's limit, -1/2, is the free atom with the Coulomb term.
+    _add_common(p, coulomb=False)
     p.add_argument("--rho0-list", dest="rho0_list", type=_rho0_list,
                    default=_RHO0_LIST)
     p.add_argument("--out", type=str, default=None)

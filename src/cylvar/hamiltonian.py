@@ -165,9 +165,14 @@ def rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     if rule is None or not rule.resolves(params, cfg):
         rule = fixed_rule(params, cfg, spec)
         if not rule.resolves(params, cfg):
+            # the cut-off and nu act at finite rho0, gamma at rho0 = inf
+            unconfined = math.isinf(cfg.rho0)
+            at = ", ".join(f"{name} = {getattr(params, name) or 0.0:g}"
+                           for name in ("alpha", "beta",
+                                        "gamma" if unconfined else "nu"))
+            layer = "" if unconfined else " or the cut-off's wall layer"
             raise ArithmeticError(f"the {spec.n_rho}-node radial rule misses "
-                                  f"the density or the cut-off's wall layer "
-                                  f"(nu = {params.nu:g}) at {params}")
+                                  f"the density{layer} at {at}")
     return rule
 
 

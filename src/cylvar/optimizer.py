@@ -7,9 +7,8 @@ names only what it pins; every other parameter that acts at its (B, rho0)
 is free (``OptimizeRequest.free_params``), and one that acts on nothing
 there keeps its ``TrialParams`` default.  Each point is one solve per basin
 of the energy (two when beta and nu are both free, else one), each from its
-own start; the other starts run only when one of those solves ends
-unconverged or on a bound.  Lower bounds from ``trialfn.admissible_bounds``
-keep every step admissible.
+own start (``OptimizeRequest.starts``), and the lowest of them.  Lower
+bounds from ``trialfn.admissible_bounds`` keep every step admissible.
 
 The solver steps in alpha, beta*B, ln nu and gamma, the coordinates the
 kernel differentiates in: psi depends on beta only through beta*B, and E
@@ -54,21 +53,15 @@ _PARAM_NAMES = ("alpha", "beta", "nu", "gamma")
 # compete: a soft one (nu near 2, often with a Gaussian rising towards the
 # wall) and a sharp one (large nu, beta*B near 0, the B = 0 shape).  Which
 # is lower changes with B and rho0, and each solve stays in the basin it
-# starts in, so the first two starts are one in each.  The others run only
-# as a fallback.
+# starts in, so there is one start in each: the soft one first.
 DEFAULT_STARTS = (
     TrialParams(alpha=1.0, beta=0.1, nu=2.0),
     TrialParams(alpha=1.0, beta=0.0, nu=4.0),
-    TrialParams(alpha=1.2, beta=-0.1, nu=3.0),
-    TrialParams(alpha=0.8, beta=0.25, nu=1.5),
 )
 
-# Starts for the unconfined variant; the Landau factor needs beta > 0 there
-# and the exact field-only limit sits at beta = 1/4.
-INF_STARTS = (
-    TrialParams(alpha=1.0, beta=0.2, nu=2.0, gamma=0.1),
-    TrialParams(alpha=0.9, beta=0.25, nu=2.0, gamma=0.5),
-)
+# The start for the unconfined variant; the Landau factor needs beta > 0
+# there.
+INF_STARTS = (TrialParams(alpha=1.0, beta=0.2, nu=2.0, gamma=0.1),)
 
 # A solve stops at a point where the Hessian of E over the free coordinates
 # is positive definite and the Newton decrement g^T H^-1 g / 2 is within
@@ -94,13 +87,11 @@ class OptimizeRequest:
 
     cfg: SystemConfig
     fixed_values: Mapping[str, float]
-    starts: tuple[TrialParams, ...] = DEFAULT_STARTS
-    # Starts whose energies lie this close to the lowest are tied.
+    # Not used by the solves: perfbench/worker.py reads it as the energy
+    # tolerance of its checks.
     tol_energy: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        if not self.starts:
-            raise ValueError("at least one start is required")
         unknown = set(self.fixed_values) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown parameter names: {sorted(unknown)}")
@@ -118,6 +109,18 @@ class OptimizeRequest:
         return tuple(name for name in acting
                      if name not in self.fixed_values
                      and (name != "beta" or self.cfg.B > 0))
+
+    @cached_property
+    def starts(self) -> tuple[TrialParams, ...]:
+        """One start per basin of E, as ``free_params`` derived from
+        (B, rho0) and the pins: the unconfined start at rho0 = inf, the
+        soft and the sharp start when beta and nu are both free, else the
+        soft start alone, since with beta inert (B = 0) or pinned, or nu
+        pinned, both reach the same optimum."""
+        if math.isinf(self.cfg.rho0):
+            return INF_STARTS
+        return DEFAULT_STARTS[:2 if {"beta", "nu"} <= set(self.free_params)
+                              else 1]
 
     @cached_property
     def _layout(self) -> tuple[tuple[str, float | None], ...]:
@@ -161,6 +164,8 @@ class OptimizeResult:
     energy: EnergyBreakdown
     evals: int
     converged: bool
+    # Which of ``req.starts`` the reported solve ran from: nothing in the
+    # package reads it, but a trace of the solves names the winner by it.
     start_index: int
     # The rule the solves ran on, for the observables at the optimum.
     rule: hamiltonian.FixedRule | None = field(default=None, compare=False,
@@ -256,18 +261,16 @@ def _newton(req: OptimizeRequest, rule: hamiltonian.FixedRule,
 
 
 def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
-                      start_index: int,
-                      rule: hamiltonian.FixedRule
-                      ) -> tuple[OptimizeResult, bool]:
-    """One solve from start ``start_index``, and whether it ended with a
-    free parameter on its lower bound.  It runs on ``rule``; one that ends
-    where the rule does not resolve E minimized a truncated E, and goes on
-    from there on the rule ``hamiltonian.rule_for`` gives that point, up to
-    _MAX_RULES rules.  It converges only on a rule that resolves E at its
-    end."""
+                      start: TrialParams, rule: hamiltonian.FixedRule,
+                      start_index: int) -> OptimizeResult:
+    """One solve from ``start``, reported as start ``start_index``.  It
+    runs on ``rule``; one that ends where the rule does not resolve E
+    minimized a truncated E, and goes on from there on the rule
+    ``hamiltonian.rule_for`` gives that point, up to _MAX_RULES rules.  It
+    converges only on a rule that resolves E at its end."""
     lows = req.lower_bounds()
     x = [v if lo is None else max(v, lo) for v, lo in
-         zip(req.start_vector(req.starts[start_index]), lows)]
+         zip(req.start_vector(start), lows)]
     evals = 0
     # Trial points with a huge |beta B| overflow exp and f^2 on the way to
     # a finite optimum; the reported energy below is checked as usual.
@@ -279,37 +282,28 @@ def _run_single_start(req: OptimizeRequest, spec: QuadratureSpec,
             if served is rule:
                 break
             rule, converged = served, False
-    result = OptimizeResult(
+    return OptimizeResult(
         params=params, energy=hamiltonian.energy(params, req.cfg, spec, rule),
         evals=evals, converged=converged, start_index=start_index, rule=rule)
-    return result, any(lo is not None and v <= lo
-                       for v, lo in zip(x, lows))
 
 
-def _select_best(candidates: Sequence[OptimizeResult],
-                 tol_energy: float) -> OptimizeResult:
+def _select_best(candidates: Sequence[OptimizeResult]) -> OptimizeResult:
+    """The lowest E; solves that end at one optimum tie to the rounding of
+    E, and ties go to the smallest nu, then the smallest |beta|, then start
+    order."""
     e_min = min(c.energy.total for c in candidates)
-    tied = [c for c in candidates if c.energy.total <= e_min + tol_energy]
-    # Ties broken by smallest nu, then smallest |beta|, then start order.
+    tol = _ROUNDING_DECREASE * max(abs(e_min), 1.0)
+    tied = [c for c in candidates if c.energy.total <= e_min + tol]
     return min(tied, key=lambda c: (c.params.nu, abs(c.params.beta),
                                     c.start_index))
 
 
-def _basins(req: OptimizeRequest) -> int:
-    """Starts ``minimize`` always solves from: one per basin of the energy
-    (see ``DEFAULT_STARTS``).  With beta inert (B = 0) or pinned, or nu
-    inert (rho0 = inf) or pinned, every start reaches the same optimum."""
-    return 2 if {"beta", "nu"} <= set(req.free_params) else 1
-
-
 def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
-    """Lowest energy over one solve from each basin's start, ties to the
-    rounding of E broken as in ``_select_best``; the best over every start
-    (ties within ``tol_energy``) when one of those solves ends unconverged
-    or with a free parameter on its lower bound.
+    """The best, by ``_select_best``, of one solve from each of
+    ``req.starts``.
 
-    ``evals`` counts objective evaluations over every start run; a request
-    with no free parameter is one energy evaluation.
+    ``evals`` counts objective evaluations over every solve; a request with
+    no free parameter is one energy evaluation.
     """
     # One rule for every solve.  It depends on the first start only through
     # the radius beyond which that start's density is negligible; a solve
@@ -322,29 +316,18 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
             params=params, energy=hamiltonian.energy(params, req.cfg, spec,
                                                      rule),
             evals=1, converged=True, start_index=0, rule=rule)
-    n = min(_basins(req), len(req.starts))
-    runs = [_run_single_start(req, spec, i, rule) for i in range(n)]
-    candidates = [result for result, _ in runs]
-    if all(result.converged and not on_bound for result, on_bound in runs):
-        # Basin solves that end at one optimum tie to rounding.
-        e_min = min(c.energy.total for c in candidates)
-        tol = _ROUNDING_DECREASE * max(abs(e_min), 1.0)
-    else:
-        candidates += [_run_single_start(req, spec, i, rule)[0]
-                       for i in range(n, len(req.starts))]
-        tol = req.tol_energy
-    best = _select_best(candidates, tol)
+    candidates = [_run_single_start(req, spec, start, rule, i)
+                  for i, start in enumerate(req.starts)]
+    best = _select_best(candidates)
     return replace(best, evals=sum(c.evals for c in candidates))
 
 
 def default_request(
         cfg: SystemConfig,
         fixed: Mapping[str, float] | None = None) -> OptimizeRequest:
-    """Standard request for one config: optimize whatever acts there and is
-    not pinned in ``fixed``, from the starts for finite or infinite rho0."""
-    return OptimizeRequest(
-        cfg=cfg, fixed_values=dict(fixed or {}),
-        starts=INF_STARTS if math.isinf(cfg.rho0) else DEFAULT_STARTS)
+    """Request for one config: optimize whatever acts there and is not
+    pinned in ``fixed``."""
+    return OptimizeRequest(cfg=cfg, fixed_values=dict(fixed or {}))
 
 
 def point_record(cfg: SystemConfig, spec: QuadratureSpec,

@@ -48,6 +48,11 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--rho0", "-3"])
     assert exc.value.code == 2
+    # the tail model's limit, -1/2, is the free atom with the Coulomb term,
+    # so fit-tail takes no --coulomb
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-tail", "--coulomb", "off"])
+    assert exc.value.code == 2
 
 
 def test_numeric_failure_exits_1(capsys):
@@ -83,13 +88,35 @@ def test_wide_cavity_binding_is_served(capsys):
     # below this field beta = (beta*B)/B would overflow for an ordinary
     # Gaussian width: the config refuses it
     (["--B", "1e-301", "--rho0", "2"], "B"),
+    # a pinned value must be finite, and gamma^2 must not overflow
+    (["--B", "0", "--rho0", "2", "--alpha", "inf"], "alpha"),
+    (["--B", "0.5", "--rho0", "2", "--beta", "inf"], "beta"),
+    (["--B", "0.5", "--rho0", "2", "--beta", "nan"], "beta"),
+    (["--B", "0", "--rho0", "2", "--nu", "inf"], "nu"),
+    (["--B", "0", "--rho0", "inf", "--gamma", "nan"], "gamma"),
+    (["--B", "0", "--rho0", "inf", "--gamma", "inf"], "gamma"),
+    (["--B", "0", "--rho0", "inf", "--gamma", "1e200"], "gamma"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
-    code, out, err = run(["energy", "--nodes", "48"] + argv, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["energy", "--nodes", "48"] + argv, capsys)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"cylvar: error: {name}")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_compare2d_coulomb_off_compares_like_with_like(capsys):
+    # Both energies without the Coulomb term: the disc's level at (0, 2) is
+    # 0.722898245, and the 3D trial energy lies just above it.
+    code, out, _ = run(["compare2d", "--coulomb", "off", "--B", "0",
+                        "--rho0", "2"], capsys)
+    assert code == 0
+    fields = dict(tok.split("=") for tok in out.split()[2:])
+    assert fields["E2d"] == "0.722898245"
+    assert float(fields["ratio"]) == pytest.approx(1.0078, abs=1e-4)
 
 
 @pytest.mark.parametrize("pins", [["--nu", "1e300"],

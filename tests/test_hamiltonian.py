@@ -374,6 +374,14 @@ def test_rule_resolves_e_only_with_two_nodes_in_the_wall_layer():
         assert fixed_rule(params, cfg, SPEC).resolves(params, cfg) == resolved
     with pytest.raises(ArithmeticError, match="wall layer"):
         energy(TrialParams(alpha=1.0, nu=128.0), cfg, SPEC)
+    # At rho0 = inf there is no wall and nu does not act: the refusal names
+    # the density and the parameters that act there, gamma among them.
+    cfg = SystemConfig(B=0.02, rho0=math.inf, coulomb_on=False)
+    with pytest.raises(ArithmeticError) as exc:
+        energy(TrialParams(alpha=1e-8, beta=0.43, gamma=1e8), cfg, SPEC)
+    assert "misses the density at" in str(exc.value)
+    assert "gamma = 1e+08" in str(exc.value)
+    assert "nu" not in str(exc.value) and "wall" not in str(exc.value)
     # At rho0 = 60 psi^2 at the wall is e^-120 of its peak: any nu serves.
     cfg = SystemConfig(B=0.0, rho0=60.0)
     params = TrialParams(alpha=1.0, nu=1000.0)

@@ -7,13 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from cylvar import hamiltonian, optimizer
 from cylvar.optimizer import (DEFAULT_STARTS, INF_STARTS, OptimizeRequest,
-                              OptimizeResult, _select_best, default_request,
-                              minimize, point_record, scan)
+                              OptimizeResult, _ROUNDING_DECREASE,
+                              _select_best, default_request, minimize,
+                              point_record, scan)
 from cylvar.quadrature import QuadratureSpec
 from cylvar.records import format_row
 from cylvar.trialfn import SystemConfig, TrialParams, check_admissible
 
 SPEC = QuadratureSpec(64, 64)
+
+
+def solve_from(req, spec, start):
+    """One solve of ``req`` from ``start`` alone, on the rule that
+    ``minimize`` would build were ``start`` its first."""
+    rule = hamiltonian.rule_for(req.build_params(req.start_vector(start)),
+                                req.cfg, spec)
+    return optimizer._run_single_start(req, spec, start, rule, 0)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +53,8 @@ def test_determinism(free_nu_rho2):
 
 # Optima of a multi-start Nelder-Mead search, as the optimizer this one
 # replaced ran it, on the 64-node radial rule: scipy's Nelder-Mead from each
-# of DEFAULT_STARTS, restarted twice at xatol 1e-12, the lowest kept.
+# of the finite-rho0 starts then in use (FORMER_STARTS[:4] below), restarted
+# twice at xatol 1e-12, the lowest kept.
 # (B, rho0) -> E.  Acceptance criteria 1 and 4 use these points.  On the
 # 64^2 tensor rule that the radial rule replaced they were 5.7e-7 to 7.7e-7
 # lower, that rule's bias at the cusp.
@@ -81,16 +91,33 @@ def test_evals_count_every_objective_evaluation(monkeypatch):
     assert calls > len(req.starts)
 
 
+# Every start the optimizer has solved from at finite rho0: the two basin
+# starts, two more that once ran as a fallback, and the two unconfined
+# starts (gamma does not act at finite rho0).
+FORMER_STARTS = (
+    TrialParams(alpha=1.0, beta=0.1, nu=2.0),
+    TrialParams(alpha=1.0, beta=0.0, nu=4.0),
+    TrialParams(alpha=1.2, beta=-0.1, nu=3.0),
+    TrialParams(alpha=0.8, beta=0.25, nu=1.5),
+    TrialParams(alpha=1.0, beta=0.2, nu=2.0, gamma=0.1),
+    TrialParams(alpha=0.9, beta=0.25, nu=2.0, gamma=0.5),
+)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.floats(0.8, 15.0))
-def test_minimize_is_as_low_as_every_start(B, rho0):
-    # One solve per basin finds the optimum: no start, run alone, ends
-    # lower, the fallback-only ones included.
+@given(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), st.floats(0.8, 15.0),
+       st.one_of(st.just({}), st.builds(dict, alpha=st.floats(0.5, 2.0)),
+                 st.builds(dict, nu=st.floats(1.0, 8.0))),
+       st.booleans())
+def test_minimize_is_as_low_as_every_start(B, rho0, fixed, coulomb_on):
+    # One solve per basin finds the optimum: no start the optimizer has
+    # used, run alone, ends lower, free or partly pinned, with the Coulomb
+    # term on or off.
     spec = QuadratureSpec(48, 48)
-    req = default_request(SystemConfig(B=B, rho0=rho0))
+    req = default_request(SystemConfig(B=B, rho0=rho0, coulomb_on=coulomb_on),
+                          fixed)
     e = minimize(req, spec).energy.total
-    alone = [minimize(replace(req, starts=(s,)), spec).energy.total
-             for s in req.starts]
+    alone = [solve_from(req, spec, s).energy.total for s in FORMER_STARTS]
     assert e <= min(alone) + 1e-10
 
 
@@ -101,22 +128,36 @@ def count_solves(monkeypatch, first_unconverged=False) -> list:
     solve = optimizer._run_single_start
 
     def counted(*args):
-        result, on_bound = solve(*args)
+        result = solve(*args)
         if first_unconverged and not evals:
             result = replace(result, converged=False)
         evals.append(result.evals)
-        return result, on_bound
+        return result
 
     monkeypatch.setattr(optimizer, "_run_single_start", counted)
     return evals
 
 
-def test_unconverged_solve_falls_back_to_every_start(monkeypatch):
+@pytest.mark.parametrize("cfg", [SystemConfig(B=0.4, rho0=2.0),
+                                 SystemConfig(B=0.0, rho0=2.0),
+                                 SystemConfig(B=0.4, rho0=math.inf)])
+def test_unconverged_solve_runs_no_other_start(cfg, monkeypatch):
+    # One solve per start of the request, whether or not one of them ends
+    # unconverged; the point then reports the other one or, alone, that.
     evals = count_solves(monkeypatch, first_unconverged=True)
-    req = default_request(SystemConfig(B=0.4, rho0=2.0))
+    req = default_request(cfg)
     res = minimize(req, SPEC)
     assert len(evals) == len(req.starts)
     assert res.evals == sum(evals)
+    assert res.converged == (res.start_index > 0)
+
+
+def test_coulomb_off_point_reports_its_lowest_solve():
+    # With the Coulomb term off at (0.8, 10), E = 0.4 = B/2 at the optimum;
+    # a tie window of 1e-6 that preferred the smaller nu printed 0.400000296.
+    res = minimize(default_request(SystemConfig(B=0.8, rho0=10.0,
+                                                coulomb_on=False)), SPEC)
+    assert res.energy.total <= 0.4 + 1e-12
 
 
 def test_readme_scan_takes_one_solve_per_basin(monkeypatch):
@@ -125,7 +166,7 @@ def test_readme_scan_takes_one_solve_per_basin(monkeypatch):
             for r in (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)]
     records = scan(grid, SPEC)
     assert all(r.converged for r in records)
-    # one basin at B = 0 (beta pinned), two at B > 0; no fallback
+    # one basin at B = 0 (beta inert), two at B > 0
     assert len(evals) == 6 * 1 + 18 * 2
     # 308 evaluations on 64 nodes, the same with E and its derivatives
     # scaled by each 1 + eps of test_convergence_does_not_depend_on_rounding
@@ -205,8 +246,7 @@ def test_objective_hessian_is_in_solver_coordinates(cfg, names):
                                  -1e-15])
 def test_convergence_does_not_depend_on_rounding(monkeypatch, eps):
     # E and its derivatives scaled by (1 + eps) differ from the unscaled
-    # ones by rounding alone, so every solve converges either way and none
-    # falls back to the other starts.
+    # ones by rounding alone, so both basin solves converge either way.
     derivatives = hamiltonian.energy_derivatives
 
     def scaled(*args):
@@ -261,8 +301,8 @@ def test_off_basin_start_does_not_overflow(monkeypatch):
         return derivatives(params, *args)
 
     monkeypatch.setattr(hamiltonian, "energy_derivatives", recorded)
-    res = minimize(replace(req, starts=(TrialParams(alpha=0.624, beta=-0.088,
-                                                    nu=14.5),)), SPEC)
+    res = solve_from(req, SPEC, TrialParams(alpha=0.624, beta=-0.088,
+                                            nu=14.5))
     assert res.converged
     assert res.energy.total <= best + 1e-12
     assert max(abs(math.log(b / a)) for a, b in zip(nus, nus[1:])) <= 1.0001
@@ -282,7 +322,7 @@ def test_line_search_gives_up_after_max_halvings(monkeypatch):
 
     monkeypatch.setattr(hamiltonian, "energy_derivatives", raised)
     req = default_request(SystemConfig(B=0.4, rho0=2.0))
-    res = minimize(replace(req, starts=req.starts[:1]), SPEC)
+    res = solve_from(req, SPEC, req.starts[0])
     assert not res.converged
     assert 1 < res.evals <= 1 + optimizer._MAX_HALVINGS
 
@@ -293,16 +333,13 @@ def test_solve_from_a_truncated_minimum_goes_on_on_a_wider_rule():
     # first start (rho_max 60.7).  E on that rule has a minimum there,
     # which is no minimum of E.
     spec = QuadratureSpec(48)
-    req = replace(default_request(SystemConfig(B=0.0145, rho0=92.3),
-                                  {"alpha": 1.1}),
-                  starts=(DEFAULT_STARTS[0],
-                          TrialParams(alpha=1.1, beta=-1.0853743,
-                                      nu=2.5075873)))
+    req = default_request(SystemConfig(B=0.0145, rho0=92.3), {"alpha": 1.1})
+    start = TrialParams(alpha=1.1, beta=-1.0853743, nu=2.5075873)
     rule = hamiltonian.fixed_rule(
         req.build_params(req.start_vector(req.starts[0])), req.cfg, spec)
     assert rule.rho_max < 61.0
-    assert not rule.resolves(req.starts[1], req.cfg)
-    result, _ = optimizer._run_single_start(req, spec, 1, rule)
+    assert not rule.resolves(start, req.cfg)
+    result = optimizer._run_single_start(req, spec, start, rule, 0)
     assert result.converged
     assert result.rule.resolves(result.params, req.cfg)
     assert result.energy.total <= -0.495213505
@@ -355,7 +392,7 @@ def test_each_basin_start_can_win():
         req = default_request(SystemConfig(B=B, rho0=rho0))
         res = minimize(req, spec)
         assert res.start_index == winner
-        other = minimize(replace(req, starts=(req.starts[1 - winner],)), spec)
+        other = solve_from(req, spec, req.starts[1 - winner])
         assert res.energy.total < other.energy.total - 1e-6
 
 
@@ -404,9 +441,9 @@ def test_unconfined_zero_field_reaches_free_atom():
 
 def test_request_validation():
     cfg = SystemConfig(B=0.0, rho0=2.0)
-    with pytest.raises(ValueError):
-        OptimizeRequest(cfg=cfg, fixed_values={"beta": 0.0, "nu": 2.0},
-                        starts=())
+    # the starts follow from the config and the pins; a caller sets none
+    with pytest.raises(TypeError):
+        OptimizeRequest(cfg=cfg, fixed_values={}, starts=DEFAULT_STARTS)
     with pytest.raises(ValueError, match="zeta"):
         default_request(cfg, fixed={"zeta": 1.0})
     # beta acts only at B > 0: pinning alpha leaves nu alone free
@@ -429,14 +466,23 @@ def test_select_best_tiebreak():
         return OptimizeResult(params=params, energy=br, evals=1,
                               converged=True, start_index=idx)
 
-    picked = _select_best([cand(-0.5, 3.0, 0.1, 0),
-                           cand(-0.5 - 5e-7, 2.0, 0.2, 1)], 1e-6)
+    # the tie window is the rounding of E: 64 eps * max(|E|, 1)
+    window = _ROUNDING_DECREASE
+    picked = _select_best([cand(-0.5 - 0.7 * window, 3.0, 0.1, 0),
+                           cand(-0.5, 2.0, 0.2, 1)])
     assert picked.params.nu == 2.0  # inside the tie window: smallest nu wins
+    for gap in (2 * window, 5e-7):
+        picked = _select_best([cand(-0.5 - gap, 3.0, 0.1, 0),
+                               cand(-0.5, 2.0, 0.2, 1)])
+        assert picked.params.nu == 3.0  # beyond it: the lowest E wins
     picked = _select_best([cand(-0.5, 2.0, 0.2, 0),
-                           cand(-0.5, 2.0, 0.1, 1)], 1e-6)
+                           cand(-0.5, 2.0, 0.1, 1)])
     assert picked.params.beta == 0.1
     picked = _select_best([cand(-0.5, 2.0, 0.1, 0),
-                           cand(-0.4, 1.0, 0.0, 1)], 1e-6)
+                           cand(-0.5, 2.0, -0.1, 1)])
+    assert picked.start_index == 0
+    picked = _select_best([cand(-0.5, 2.0, 0.1, 0),
+                           cand(-0.4, 1.0, 0.0, 1)])
     assert picked.start_index == 0
 
 
@@ -445,11 +491,11 @@ def test_basin_solves_tied_to_rounding_pick_smallest_nu(monkeypatch):
     # way: the printed parameters must not depend on which is lower.
     e = 1.29824144
     for energies in ((e, math.nextafter(e, 0.0)), (math.nextafter(e, 0.0), e)):
-        def solve(req, spec, i, rules):
+        def solve(req, spec, start, rule, i):
             params = TrialParams(alpha=1.3, beta=0.32, nu=2.75 + 1e-7 * i)
             br = hamiltonian.EnergyBreakdown(0, 0, 0, energies[i], 1.0)
             return OptimizeResult(params=params, energy=br, evals=10,
-                                  converged=True, start_index=i), False
+                                  converged=True, start_index=i)
 
         monkeypatch.setattr(optimizer, "_run_single_start", solve)
         res = minimize(default_request(SystemConfig(B=0.4, rho0=1.0)), SPEC)
