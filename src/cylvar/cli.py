@@ -210,9 +210,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    default=_RHO0_LIST)
     p.add_argument("--out", type=str, default="scan.csv")
     p.add_argument("--format", choices=_CHOICES["format"], default="csv")
-    p.add_argument("--jobs", type=int,
+    p.add_argument("--jobs", type=int, metavar="N",
                    default=os.environ.get("CYLVAR_JOBS", "1"),
-                   help="worker processes (default $CYLVAR_JOBS, else 1)")
+                   help="processes at once, this one among them, each "
+                        "taking every N-th grid point (default "
+                        "$CYLVAR_JOBS, else 1)")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("compare2d")

@@ -78,6 +78,9 @@ class Observables:
 # start's, or the prefactor grow as (1 + gamma^2 rho^2)^2 at rho0 = inf,
 # before the tail left out reaches the rounding of the sums.
 _LN_CUT = -4.0 * math.log(np.finfo(float).eps)
+# The largest gamma * rho_max: the sums hold products such as f'^2 and
+# f^2 ln f, with f ~ (gamma rho)^2, that must not overflow a double.
+_MAX_GAMMA_RHO = np.finfo(float).max ** 0.25 / 64
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,13 @@ class FixedRule:
         rho0], rho_w = rho0 2^(-1/nu) where 1 - x^nu falls to 1/2, unless
         psi^2 is that small at rho_w.  At finite rho0, where p <= 1, its log
         is at most -2 rho (alpha + beta B rho), convex or falling, so both
-        ends decide; at rho0 = inf it falls beyond 2/alpha."""
+        ends decide; at rho0 = inf it falls beyond 2/alpha.  Raises
+        ValueError where gamma is too large for the sums on the rule."""
         g = params.gamma or 0.0
+        if abs(g) * self.rho_max > _MAX_GAMMA_RHO:
+            raise ValueError(f"gamma = {g:g} is too large: the sums over the "
+                             f"{self.rho.size}-node radial rule out to rho = "
+                             f"{self.rho_max:g} would overflow a double")
         c = params.beta * cfg.B
 
         def ln_psi2(r):
@@ -161,7 +169,8 @@ def rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
              rule: FixedRule | None = None) -> FixedRule:
     """``rule`` if given and it resolves E at ``params``
     (``FixedRule.resolves``), else the rule built at ``params``.  Raises
-    ArithmeticError if that does not resolve E there either."""
+    ArithmeticError if that does not resolve E there either, and ValueError
+    where gamma is too large for the sums on a rule."""
     if rule is None or not rule.resolves(params, cfg):
         rule = fixed_rule(params, cfg, spec)
         if not rule.resolves(params, cfg):

@@ -370,31 +370,54 @@ def _scan_point(cfg: SystemConfig,
         return _failed_record(cfg), f"{type(exc).__name__}: {exc}"
 
 
+def _scan_share(grid: Sequence[SystemConfig], spec: QuadratureSpec,
+                conn) -> None:
+    """A child's share of ``scan``: its outcomes, sent once over ``conn``."""
+    conn.send([_scan_point(cfg, spec) for cfg in grid])
+
+
 def scan(grid: Sequence[SystemConfig], spec: QuadratureSpec,
          jobs: int = 1) -> list[ScanRecord]:
     """One record per grid config under its own ``default_request``, in grid
     order, with one line on stderr for each row that failed and came out
     NaN, saying why.
 
-    Each record depends on its config alone, so ``jobs > 1`` runs the
-    configs in a process pool and the records do not depend on ``jobs`` or
-    on the rest of the grid.
+    ``jobs`` processes run at once, this one and ``jobs - 1`` children (at
+    most one per config), and each takes every ``jobs``-th config.  Each
+    record depends on its config alone, so the records do not depend on
+    ``jobs`` or on the rest of the grid.  No child outlives the call; one
+    that exits without sending its records is a RuntimeError naming its
+    exit code.
     """
     if not grid:
         raise ValueError("scan grid must be non-empty")
-    tasks = [(cfg, spec) for cfg in grid]
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        outcomes = [_scan_point(*task) for task in tasks]
-    else:
-        # The default start method: under spawn each worker re-imports numpy
-        # and scipy, which costs more than a whole scan row at 64 nodes.
-        pool = multiprocessing.Pool(workers)
-        try:
-            outcomes = pool.starmap(_scan_point, tasks, chunksize=1)
-        finally:
-            pool.close()
-            pool.join()
+    workers = max(1, min(jobs, len(grid)))
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_scan_share, args=(grid[w::workers], spec, send))
+            child.start()
+            children.append((child, recv))
+            send.close()  # else recv never sees the child's end close
+        outcomes = [None] * len(grid)
+        outcomes[::workers] = [_scan_point(cfg, spec)
+                               for cfg in grid[::workers]]
+        for w, (child, recv) in enumerate(children, 1):
+            try:
+                outcomes[w::workers] = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"scan process {w} of {workers} exited with code "
+                    f"{child.exitcode} without sending its rows") from None
+            child.join()
+    finally:
+        for child, recv in children:
+            child.terminate()  # a no-op on a child already joined
+            child.join()
+            recv.close()
     for record, reason in outcomes:
         if reason is not None:
             print(f"cylvar: warning: scan row B={format_float(record.B)} "

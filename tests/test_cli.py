@@ -96,6 +96,10 @@ def test_wide_cavity_binding_is_served(capsys):
     (["--B", "0", "--rho0", "inf", "--gamma", "nan"], "gamma"),
     (["--B", "0", "--rho0", "inf", "--gamma", "inf"], "gamma"),
     (["--B", "0", "--rho0", "inf", "--gamma", "1e200"], "gamma"),
+    # gamma^2 is finite, but the sums hold (gamma rho)^4
+    (["--B", "0", "--rho0", "inf", "--gamma", "1e150"], "gamma"),
+    (["--B", "0", "--rho0", "inf", "--gamma", "1e153"], "gamma"),
+    (["--B", "0", "--rho0", "inf", "--gamma", "1e154"], "gamma"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -172,7 +176,7 @@ def test_scan_reruns_are_byte_identical(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_scan_says_why_a_row_failed(jobs, tmp_path, capsys):
     # At rho0 = 1e-200 the confinement energy overflows: the row is NaN in
     # the CSV, and stderr names its B, rho0 and the reason, once.

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -523,10 +526,44 @@ def test_scan_optimizes_gamma_at_infinite_radius():
     assert row.E <= minimize(req, SPEC).energy.total + req.tol_energy
 
 
-def test_scan_does_not_depend_on_jobs():
+SCAN_GRID = [SystemConfig(B=b, rho0=r) for b, r in
+             ((0.0, 1.5), (0.0, 2.5), (0.5, 1.5), (0.5, 2.5), (0.5, math.inf))]
+
+
+@pytest.mark.parametrize("jobs", [2, 3, len(SCAN_GRID) + 2])
+def test_scan_does_not_depend_on_jobs(jobs):
+    # Strides of 2 and 3 split the 5 rows unevenly; past 5 jobs the scan
+    # starts one process per row.
     spec = QuadratureSpec(48, 48)
-    grid = [SystemConfig(B=b, rho0=r) for b in (0.0, 0.5) for r in (1.5, 2.5)]
-    assert scan(grid, spec, jobs=2) == scan(grid, spec, jobs=1)
+    assert scan(SCAN_GRID, spec, jobs=jobs) == scan(SCAN_GRID, spec, jobs=1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a child sees the patched _scan_point only when "
+                           "it is forked")
+@pytest.mark.parametrize("error,match", [
+    (RuntimeError, "scan process 1 of 2 exited with code 3 without"),
+    (KeyboardInterrupt, None)])
+def test_scan_leaves_no_child_behind_on_error(error, match, monkeypatch):
+    # A child that exits without sending its rows is an error naming its
+    # exit code; an interrupt in this process stops a child still at work.
+    parent, scan_point = os.getpid(), optimizer._scan_point
+
+    def fails(cfg, spec):
+        if os.getpid() == parent:
+            if error is KeyboardInterrupt:
+                raise KeyboardInterrupt
+            return scan_point(cfg, spec)
+        if error is RuntimeError:
+            os._exit(3)
+        time.sleep(60)
+    monkeypatch.setattr(optimizer, "_scan_point", fails)
+    t0 = time.monotonic()
+    with pytest.raises(error, match=match):
+        scan(SCAN_GRID[:3], QuadratureSpec(48, 48), jobs=2)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_rejects_empty_grid():
