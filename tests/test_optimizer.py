@@ -530,13 +530,14 @@ SCAN_GRID = [SystemConfig(B=b, rho0=r) for b, r in
              ((0.0, 1.5), (0.0, 2.5), (0.5, 1.5), (0.5, 2.5), (0.5, math.inf))]
 
 
-@pytest.mark.parametrize("jobs", [2, 3, len(SCAN_GRID) + 2])
-def test_scan_does_not_depend_on_jobs(jobs):
+def test_scan_does_not_depend_on_jobs():
     # Strides of 2 and 3 split the 5 rows unevenly; past 5 jobs the scan
     # starts one process per row.
     spec = QuadratureSpec(48, 48)
-    assert scan(SCAN_GRID, spec, jobs=jobs) == scan(SCAN_GRID, spec, jobs=1)
-    assert multiprocessing.active_children() == []
+    serial = scan(SCAN_GRID, spec, jobs=1)
+    for jobs in (2, 3, len(SCAN_GRID) + 2):
+        assert scan(SCAN_GRID, spec, jobs=jobs) == serial, jobs
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
