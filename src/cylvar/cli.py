@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import hamiltonian, optimizer
@@ -238,6 +239,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("verify-appendix")
     p.set_defaults(fn=cmd_verify_appendix)
 
+    # -1e-3 is a value, as -0.001 is: no cylvar flag looks like a number
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     if config:
         # argparse converts a string default with the flag's type, as it
         # would the same text on the command line.

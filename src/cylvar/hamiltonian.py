@@ -78,9 +78,35 @@ class Observables:
 # start's, or the prefactor grow as (1 + gamma^2 rho^2)^2 at rho0 = inf,
 # before the tail left out reaches the rounding of the sums.
 _LN_CUT = -4.0 * math.log(np.finfo(float).eps)
-# The largest gamma * rho_max: the sums hold products such as f'^2 and
-# f^2 ln f, with f ~ (gamma rho)^2, that must not overflow a double.
-_MAX_GAMMA_RHO = np.finfo(float).max ** 0.25 / 64
+# The largest log of a sum's term: 64^4 below a double's, for nodes and ln f.
+_LN_MAX_TERM = math.log(np.finfo(float).max) - 4.0 * math.log(64.0)
+
+
+def _check_terms(params: TrialParams, cfg: SystemConfig, rho_max: float,
+                 n_rho: int):
+    """Raise ValueError where a sum on an ``n_rho``-node rule out to
+    ``rho_max`` would overflow at ``params``: in its largest weight row,
+    w rho^4 at rho_max with w <= 4 pi rho rho_max, in p^2 at rho_max, or in
+    its largest term, about w (rho^2 + 1/(2 alpha))^2 psi^2 (the z extent
+    of the moments) at rho = min(rho_max, 2/alpha).  Names gamma where p^2
+    alone overflows, else alpha, which sets the rule's extent."""
+    if not rho_max:  # a rule without extent holds no terms
+        return
+    a, g = params.alpha, params.gamma or 0.0
+    r = min(rho_max, 2.0 / a)
+    ln_w = math.log(4.0 * math.pi * rho_max)
+    ln_weight = ln_w + 5.0 * math.log(rho_max)
+    ln_f2 = 2.0 * math.log1p((g * rho_max) * (g * rho_max))
+    ln_term = (ln_w + math.log(r) + 2.0 * math.log(r * r + 0.5 / a)
+               + 2.0 * (math.log1p((g * r) * (g * r))
+                        - r * (a + params.beta * cfg.B * r)))
+    if max(ln_weight, ln_f2, ln_term) <= _LN_MAX_TERM:
+        return
+    name, value, size = (("gamma", g, "large") if ln_weight <= _LN_MAX_TERM
+                         < ln_f2 else ("alpha", a, "small"))
+    raise ValueError(f"{name} = {value:g} is too {size}: the sums over the "
+                     f"{n_rho}-node radial rule out to rho = {rho_max:g} "
+                     f"would overflow a double")
 
 
 @dataclass(frozen=True)
@@ -112,12 +138,9 @@ class FixedRule:
         psi^2 is that small at rho_w.  At finite rho0, where p <= 1, its log
         is at most -2 rho (alpha + beta B rho), convex or falling, so both
         ends decide; at rho0 = inf it falls beyond 2/alpha.  Raises
-        ValueError where gamma is too large for the sums on the rule."""
+        ValueError where the sums on the rule would overflow."""
+        _check_terms(params, cfg, self.rho_max, self.rho.size)
         g = params.gamma or 0.0
-        if abs(g) * self.rho_max > _MAX_GAMMA_RHO:
-            raise ValueError(f"gamma = {g:g} is too large: the sums over the "
-                             f"{self.rho.size}-node radial rule out to rho = "
-                             f"{self.rho_max:g} would overflow a double")
         c = params.beta * cfg.B
 
         def ln_psi2(r):
@@ -148,10 +171,12 @@ def fixed_rule(params: TrialParams, cfg: SystemConfig,
                spec: QuadratureSpec) -> FixedRule:
     """The rule built at ``params``: its nodes stop at rho0, or at the
     positive root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is
-    nearer.  No such root bounds the density when beta B < 0."""
+    nearer.  No such root bounds the density when beta B < 0.  Raises
+    ValueError where the sums on it would overflow (``_check_terms``)."""
     a, c = params.alpha, params.beta * cfg.B
     rho_max = cfg.rho0 if c < 0 else min(
         cfg.rho0, _LN_CUT / (a + math.hypot(a, math.sqrt(2.0 * c * _LN_CUT))))
+    _check_terms(params, cfg, rho_max, spec.n_rho)
     rho, weight = cylinder_grid(rho_max, spec)
     x = rho / cfg.rho0
     rho2 = rho * rho
@@ -170,7 +195,7 @@ def rule_for(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     """``rule`` if given and it resolves E at ``params``
     (``FixedRule.resolves``), else the rule built at ``params``.  Raises
     ArithmeticError if that does not resolve E there either, and ValueError
-    where gamma is too large for the sums on a rule."""
+    where the sums on a rule would overflow."""
     if rule is None or not rule.resolves(params, cfg):
         rule = fixed_rule(params, cfg, spec)
         if not rule.resolves(params, cfg):

@@ -5,10 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass
 
 __all__ = ["ScanRecord", "CSV_HEADER", "write_csv", "write_json",
-           "read_csv", "read_json", "format_float", "format_row"]
+           "format_float", "format_row"]
 
 CSV_HEADER = ("B,rho0,E,alpha,beta,nu,gamma,E0,Eb,mean_rho,mean_abs_z,"
               "aspect_ratio,shannon_r,cusp_Z,converged,evals,bound_state")
@@ -37,10 +37,11 @@ class ScanRecord:
     cusp_Z: float
     converged: bool
     evals: int
-    bound_state: bool = field(default=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound_state", bool(self.E < 0))
+    @property
+    def bound_state(self) -> bool:
+        """E < 0: the state is bound."""
+        return bool(self.E < 0)
 
 
 def format_float(x) -> str:
@@ -54,21 +55,9 @@ def format_float(x) -> str:
 
 def format_row(rec: ScanRecord) -> list[str]:
     """The CSV fields of one record, as ``write_csv`` writes them."""
-    d = vars(rec)
-    out = [format_float(d[k]) for k in _FLOAT_FIELDS]
-    out.append("true" if rec.converged else "false")
-    out.append(str(rec.evals))
-    out.append("true" if rec.bound_state else "false")
-    return out
-
-
-def _parse_row(row: list[str]) -> ScanRecord:
-    vals: dict = {}
-    for k, s in zip(_FLOAT_FIELDS, row[:14]):
-        vals[k] = None if s == "" else float(s)
-    vals["converged"] = row[14] == "true"
-    vals["evals"] = int(row[15])
-    return ScanRecord(**vals)
+    return [*(format_float(getattr(rec, k)) for k in _FLOAT_FIELDS),
+            str(rec.converged).lower(), str(rec.evals),
+            str(rec.bound_state).lower()]
 
 
 def write_csv(records, path):
@@ -79,21 +68,13 @@ def write_csv(records, path):
             w.writerow(format_row(rec))
 
 
-def read_csv(path) -> list[ScanRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and rows[0] == _FIELDS:
-        rows = rows[1:]
-    return [_parse_row(r) for r in rows]
-
-
 def _jsonable(rec: ScanRecord) -> dict:
-    d = asdict(rec)
-    for k in _FLOAT_FIELDS:
-        # JSON has no inf literal; round-trip through the printed precision
-        # so csv and json carry identical numeric values.
-        d[k] = None if d[k] is None else (
-            "inf" if math.isinf(d[k]) else float(format_float(d[k])))
+    """The CSV row's values: JSON has no inf literal, so "inf" stays a
+    string, and an empty gamma is null."""
+    d = {k: None if cell == "" else cell if cell == "inf" else float(cell)
+         for k, cell in zip(_FLOAT_FIELDS, format_row(rec))}
+    d.update(converged=rec.converged, evals=rec.evals,
+             bound_state=rec.bound_state)
     return d
 
 
@@ -102,14 +83,3 @@ def write_json(records, path):
         json.dump([_jsonable(r) for r in records], fh, indent=2)
         fh.write("\n")
 
-
-def read_json(path) -> list[ScanRecord]:
-    with open(path) as fh:
-        data = json.load(fh)
-    out = []
-    for d in data:
-        for k in _FLOAT_FIELDS:
-            if d[k] == "inf":
-                d[k] = math.inf
-        out.append(ScanRecord(**d))
-    return out

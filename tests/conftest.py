@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -31,3 +32,23 @@ def _shannon_entropy_dblquad(alpha: float, nu: float, rho0: float) -> float:
 @pytest.fixture
 def shannon_entropy_dblquad():
     return _shannon_entropy_dblquad
+
+
+# The value JSON carries for each CSV cell that is not a number.
+_CSV_WORDS = {"": None, "inf": "inf", "true": True, "false": False}
+
+
+def _csv_as_json(path) -> list[dict]:
+    """The rows of a written scan CSV, each cell as the value the JSON
+    output carries for it: None for an empty gamma, "inf", booleans, an
+    int count and floats."""
+    with open(path, newline="") as fh:
+        return [{key: _CSV_WORDS[text] if text in _CSV_WORDS else
+                 int(text) if key == "evals" else float(text)
+                 for key, text in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+@pytest.fixture
+def csv_as_json():
+    return _csv_as_json

@@ -6,7 +6,7 @@ import pytest
 
 from cylvar import cli, optimizer
 from cylvar.cli import build_parser, main, _parse_rho0
-from cylvar.records import CSV_HEADER, read_csv, read_json
+from cylvar.records import CSV_HEADER
 
 
 def run(argv, capsys):
@@ -100,6 +100,27 @@ def test_wide_cavity_binding_is_served(capsys):
     (["--B", "0", "--rho0", "inf", "--gamma", "1e150"], "gamma"),
     (["--B", "0", "--rho0", "inf", "--gamma", "1e153"], "gamma"),
     (["--B", "0", "--rho0", "inf", "--gamma", "1e154"], "gamma"),
+    # a rule out to rho_max = _LN_CUT / (2 alpha) holds weights up to
+    # w rho^4 and, with gamma, terms up to f^2 ~ (gamma rho)^4
+    (["--B", "0", "--rho0", "inf", "--alpha", "1e-35", "--gamma", "0.1"],
+     "alpha"),
+    (["--B", "0", "--rho0", "inf", "--alpha", "1e-40", "--gamma", "0.1"],
+     "alpha"),
+    (["--B", "0", "--rho0", "inf", "--alpha", "1e-50", "--gamma", "0.1"],
+     "alpha"),
+    (["--B", "0", "--rho0", "inf", "--alpha", "1e-60", "--gamma", "0.1"],
+     "alpha"),
+    (["--B", "0", "--rho0", "inf", "--alpha", "1e-50", "--gamma", "0"],
+     "alpha"),
+    # here only the weight row w rho^4 overflows, not the terms
+    (["--B", "0", "--rho0", "inf", "--alpha", "2e-50", "--gamma", "0"],
+     "alpha"),
+    (["--B", "0", "--rho0", "1e70", "--alpha", "1e-50", "--nu", "2"],
+     "alpha"),
+    (["--B", "0", "--rho0", "1e70", "--alpha", "1e-60", "--nu", "2"],
+     "alpha"),
+    # the moment of |z| holds 1/(2 alpha)^2
+    (["--B", "0", "--rho0", "5", "--alpha", "1e-160", "--nu", "2"], "alpha"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -110,6 +131,43 @@ def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"cylvar: error: {name}")
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--B", "0", "--rho0", "inf", "--alpha", "1e-30", "--gamma", "0.1"],
+    ["--B", "0", "--rho0", "inf", "--alpha", "1e-40", "--gamma", "0"],
+    ["--B", "0", "--rho0", "1e70", "--alpha", "1e-40", "--nu", "2"],
+    ["--B", "0", "--rho0", "5", "--alpha", "1e-40", "--nu", "2"],
+    ["--B", "0.5", "--rho0", "inf", "--alpha", "1e-40", "--beta", "0.3",
+     "--gamma", "0.1"],
+])
+def test_small_pinned_alpha_is_served(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["energy"] + argv, capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv,same_as", [
+    (["--B", "1", "--rho0", "3", "--alpha", "1", "--nu", "2",
+      "--beta", "-1e-3"], "-0.001"),
+    (["--B", "0.5", "--rho0", "inf", "--nodes", "48", "--gamma", "-1e-1"],
+     "-0.1"),
+    (["--rho0", "2", "--B", "-1e-3"], "-0.001"),
+])
+def test_negative_value_in_exponent_notation(argv, same_as, capsys):
+    # the CSV prints such values, so they must read back as typed
+    code, out, err = run(["energy"] + argv, capsys)
+    assert (code, out, err) == run(["energy"] + argv[:-1] + [same_as], capsys)
+    if argv[-2] == "--B":
+        assert code == 1
+        assert err.startswith("cylvar: error: B = -0.001")
+        assert len(err.splitlines()) == 1
+    else:
+        assert code == 0
 
 
 def test_compare2d_coulomb_off_compares_like_with_like(capsys):
@@ -156,7 +214,7 @@ def test_refused_request_exits_before_optimizing(monkeypatch, capsys):
     assert err.startswith("cylvar: error: nu = 0.5 is not admissible")
 
 
-def test_scan_csv_and_json_agree(tmp_path, capsys):
+def test_scan_csv_and_json_agree(tmp_path, capsys, csv_as_json):
     common = ["scan", "--B-list", "0", "--rho0-list", "2.0,2.5",
               "--nodes", "48", "--jobs", "1"]
     cpath, jpath = tmp_path / "s.csv", tmp_path / "s.json"
@@ -164,7 +222,7 @@ def test_scan_csv_and_json_agree(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(common + ["--out", str(jpath), "--format", "json"], capsys)
     assert code == 0
-    assert read_csv(cpath) == read_json(jpath)
+    assert csv_as_json(cpath) == json.loads(jpath.read_text())
 
 
 def test_scan_reruns_are_byte_identical(tmp_path, capsys):
@@ -177,7 +235,7 @@ def test_scan_reruns_are_byte_identical(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
-def test_scan_says_why_a_row_failed(jobs, tmp_path, capsys):
+def test_scan_says_why_a_row_failed(jobs, tmp_path, capsys, csv_as_json):
     # At rho0 = 1e-200 the confinement energy overflows: the row is NaN in
     # the CSV, and stderr names its B, rho0 and the reason, once.
     path = tmp_path / "s.csv"
@@ -188,8 +246,8 @@ def test_scan_says_why_a_row_failed(jobs, tmp_path, capsys):
     assert err == ("cylvar: warning: scan row B=1 rho0=1e-200 failed: "
                    "ValueError: rho0 = 1e-200 is too small: the confinement "
                    "energy j01^2 / (2 rho0^2) overflows a double\n")
-    rows = read_csv(path)
-    assert math.isnan(rows[1].E) and not math.isnan(rows[0].E)
+    rows = csv_as_json(path)
+    assert math.isnan(rows[1]["E"]) and not math.isnan(rows[0]["E"])
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

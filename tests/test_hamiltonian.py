@@ -363,6 +363,19 @@ def test_rule_resolves_e_where_the_density_beyond_it_is_negligible():
                              cfg)
 
 
+def test_reused_rule_refuses_parameters_that_overflow_its_sums():
+    # A rule built at alpha = 1 ends at rho = 72.1.  Reused at a gamma whose
+    # f^2 ~ (gamma rho)^4 overflows there, or at an alpha whose z extent
+    # 1/(2 alpha) enters the moments squared beyond a double, it refuses
+    # with a ValueError naming that parameter, before any sum is formed.
+    rule = fixed_rule(EXACT_1S, FREE_H, SPEC)
+    with pytest.raises(ValueError, match=r"^gamma = 1e\+150 is too large"):
+        rule.resolves(replace(EXACT_1S, gamma=1e150), FREE_H)
+    with pytest.raises(ValueError, match=r"^alpha = 1e-300 is too small"):
+        rule.resolves(replace(EXACT_1S, alpha=1e-300), FREE_H)
+    assert rule.resolves(replace(EXACT_1S, gamma=1e73), FREE_H)
+
+
 def test_rule_resolves_e_only_with_two_nodes_in_the_wall_layer():
     # 1 - x^nu falls to 1/2 at rho_w = rho0 2^(-1/nu).  At (0, 2), alpha = 1
     # and 64 nodes, the two outermost nodes lie in [rho_w, rho0] up to

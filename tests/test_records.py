@@ -1,10 +1,12 @@
+import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from cylvar.records import (CSV_HEADER, ScanRecord, format_float, read_csv,
-                            read_json, write_csv, write_json)
+from cylvar.records import (CSV_HEADER, ScanRecord, format_float, write_csv,
+                            write_json)
 
 
 def sample_records():
@@ -30,8 +32,10 @@ def test_header_is_frozen():
 def test_bound_state_is_derived():
     rec = sample_records()[0]
     assert rec.bound_state
-    pos = ScanRecord(**{**rec.__dict__, "E": 0.3, "bound_state": True})
-    assert not pos.bound_state  # always recomputed from the energy sign
+    # not a field: always computed from the energy sign
+    assert "bound_state" not in {f.name for f in dataclasses.fields(rec)}
+    assert not dataclasses.replace(rec, E=0.3).bound_state
+    assert not dataclasses.replace(rec, E=math.nan).bound_state
 
 
 def test_format_float():
@@ -50,27 +54,36 @@ def test_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == CSV_HEADER
     assert "\r" not in text
     assert ",inf," in text.splitlines()[2]
-    back = read_csv(path)
-    assert len(back) == 2
-    for a, b in zip(back, recs):
-        for name in CSV_HEADER.split(","):
-            va, vb = getattr(a, name), getattr(b, name)
-            if isinstance(vb, float) and not math.isinf(vb):
-                assert va == pytest.approx(vb, rel=1e-8)
-            else:
-                assert va == vb
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row, rec in zip(rows, recs):
+        assert list(row) == CSV_HEADER.split(",")
+        for name, cell in row.items():
+            value = getattr(rec, name)
+            if isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif name == "evals":
+                assert cell == str(value)
+            elif value is None:
+                assert cell == ""
+            elif math.isinf(value):
+                assert cell == "inf"
+            else:  # 9 significant digits
+                assert float(cell) == pytest.approx(value, rel=1e-8)
+    assert rows[0]["bound_state"] == "true"
+    assert rows[1]["converged"] == "false"
 
 
-def test_json_matches_csv_values(tmp_path):
+def test_json_matches_csv_values(tmp_path, csv_as_json):
     recs = sample_records()
     cpath, jpath = tmp_path / "o.csv", tmp_path / "o.json"
     write_csv(recs, cpath)
     write_json(recs, jpath)
-    from_csv = read_csv(cpath)
-    from_json = read_json(jpath)
-    for a, b in zip(from_csv, from_json):
-        assert a == b  # both carry the 9-significant-digit values
     raw = json.loads(jpath.read_text())
+    assert [list(d) for d in raw] == [CSV_HEADER.split(",")] * 2
+    # both carry the 9-significant-digit values
+    assert raw == csv_as_json(cpath)
     assert raw[1]["rho0"] == "inf"
     assert raw[0]["gamma"] is None
 
