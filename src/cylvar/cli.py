@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 numeric/runtime failure (a pinned parameter outside
 the admissible set among them), 2 usage error.  Each flag takes its value
 from the command line, else from the JSON object in the ``--config`` file,
 else (``--jobs`` only) from ``CYLVAR_JOBS``, else from its built-in default.
+The file's values and ``CYLVAR_JOBS`` are read as flags in front of the
+command line's own, so argparse checks each as it would the same text typed
+and keeps a flag's last value.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .trialfn import SystemConfig
 __all__ = ["main"]
 
 _PARAM_FLAGS = ("alpha", "beta", "nu", "gamma")
-# The flags with a fixed set of values.
-_CHOICES = {"coulomb": ("on", "off"), "format": ("csv", "json")}
 _RHO0_LIST = "2.5,3.0,3.5,4.0,4.5,5.0"
 
 
@@ -174,9 +175,10 @@ def _add_common(p: argparse.ArgumentParser, coulomb: bool = True):
     p.add_argument("--nodes", type=int, default=64,
                    help="radial quadrature nodes (default 64)")
     if coulomb:
-        p.add_argument("--coulomb", choices=_CHOICES["coulomb"], default="on")
+        p.add_argument("--coulomb", choices=("on", "off"), default="on")
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file with defaults for any flag")
+                   help="JSON object of flag values, each read as the "
+                        "same flag in front of the command line")
 
 
 def _add_point(p: argparse.ArgumentParser):
@@ -187,8 +189,9 @@ def _add_point(p: argparse.ArgumentParser):
                        help=f"pin {name} instead of optimizing it")
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with ``config``'s values as flag defaults."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``main`` never changes it."""
     parser = argparse.ArgumentParser(
         prog="cylvar",
         description="Variational hydrogen atom in a magnetized cylinder")
@@ -210,12 +213,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--rho0-list", dest="rho0_list", type=_rho0_list,
                    default=_RHO0_LIST)
     p.add_argument("--out", type=str, default="scan.csv")
-    p.add_argument("--format", choices=_CHOICES["format"], default="csv")
-    p.add_argument("--jobs", type=int, metavar="N",
-                   default=os.environ.get("CYLVAR_JOBS", "1"),
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--jobs", type=int, metavar="N", default=1,
                    help="processes at once, this one among them, each "
-                        "taking every N-th grid point (default "
-                        "$CYLVAR_JOBS, else 1)")
+                        "taking every N-th grid point (default 1; "
+                        "$CYLVAR_JOBS is read as this flag, before the "
+                        "--config file's value)")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("compare2d")
@@ -242,51 +245,40 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     # -1e-3 is a value, as -0.001 is: no cylvar flag looks like a number
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile(r"-\.?\d")
-    if config:
-        # argparse converts a string default with the flag's type, as it
-        # would the same text on the command line.
-        defaults = {key.replace("-", "_"): value
-                    for key, value in config.items()}
-        for p in sub.choices.values():
-            flags = {action.dest for action in p._actions}
-            p.set_defaults(**{key: value for key, value in defaults.items()
-                              if key in flags})
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(jobs_env: str | None) -> argparse.ArgumentParser:
-    """``build_parser()``, built once per value of ``CYLVAR_JOBS``: the
-    parser holds that value as the ``--jobs`` default, and ``main`` never
-    changes a parser it parses with."""
-    return build_parser()
-
-
-def _read_config(path: str) -> dict:
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("--config must contain a JSON object")
-    return config
+def _flag(key: str, value) -> str:
+    """The config entry as the flag it sets, ``--key=value``: a JSON list
+    joined with commas, every other value as ``str`` (which round-trips a
+    float)."""
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return f"--{key.replace('_', '-')}={text}"
 
 
 def main(argv=None) -> int:
-    parser = _parser(os.environ.get("CYLVAR_JOBS"))
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    jobs = os.environ.get("CYLVAR_JOBS") if hasattr(args, "jobs") else None
+    front = [] if jobs is None else [f"--jobs={jobs}"]
     if getattr(args, "config", None):
-        # Parse again with the file's values as defaults, so that flags on
-        # the command line still win.
         try:
-            config = _read_config(args.config)
+            with open(args.config) as fh:
+                config = json.load(fh)
         except (OSError, ValueError) as exc:  # JSONDecodeError included
             parser.error(str(exc))
-        args = build_parser(config).parse_args(argv)
-        # argparse checks choices only for values on the command line.
-        for dest, choices in _CHOICES.items():
-            value = getattr(args, dest, choices[0])
-            if value not in choices:
-                parser.error(f"argument --{dest}: invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
+        if not isinstance(config, dict):
+            parser.error("--config must contain a JSON object")
+        # a key is a flag of this command by its dest, as in rho0_list
+        flags = vars(args).keys() - {"command", "fn", "config"}
+        front += [_flag(key, value) for key, value in config.items()
+                  if key.replace("-", "_") in flags and value is not None]
+    if front:
+        # Parse again with the environment's and the file's values in front
+        # of the command line's: argparse keeps a flag's last value.
+        at = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:at], *front, *argv[at:]])
     try:
         return args.fn(args)
     except Exception as exc:  # numeric/runtime failure contract: exit 1

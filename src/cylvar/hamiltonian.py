@@ -80,33 +80,55 @@ class Observables:
 _LN_CUT = -4.0 * math.log(np.finfo(float).eps)
 # The largest log of a sum's term: 64^4 below a double's, for nodes and ln f.
 _LN_MAX_TERM = math.log(np.finfo(float).max) - 4.0 * math.log(64.0)
+# The least log of a weight row the printed values need: 64^4 above the
+# least normal double, for nodes and the density's peak inside the rule.
+_LN_MIN_ROW = math.log(np.finfo(float).tiny) + 4.0 * math.log(64.0)
 
 
 def _check_terms(params: TrialParams, cfg: SystemConfig, rho_max: float,
                  n_rho: int):
     """Raise ValueError where a sum on an ``n_rho``-node rule out to
-    ``rho_max`` would overflow at ``params``: in its largest weight row,
-    w rho^4 at rho_max with w <= 4 pi rho rho_max, in p^2 at rho_max, or in
-    its largest term, about w (rho^2 + 1/(2 alpha))^2 psi^2 (the z extent
-    of the moments) at rho = min(rho_max, 2/alpha).  Names gamma where p^2
-    alone overflows, else alpha, which sets the rule's extent."""
-    if not rho_max:  # a rule without extent holds no terms
-        return
-    a, g = params.alpha, params.gamma or 0.0
-    r = min(rho_max, 2.0 / a)
-    ln_w = math.log(4.0 * math.pi * rho_max)
-    ln_weight = ln_w + 5.0 * math.log(rho_max)
-    ln_f2 = 2.0 * math.log1p((g * rho_max) * (g * rho_max))
-    ln_term = (ln_w + math.log(r) + 2.0 * math.log(r * r + 0.5 / a)
-               + 2.0 * (math.log1p((g * r) * (g * r))
-                        - r * (a + params.beta * cfg.B * r)))
-    if max(ln_weight, ln_f2, ln_term) <= _LN_MAX_TERM:
-        return
-    name, value, size = (("gamma", g, "large") if ln_weight <= _LN_MAX_TERM
-                         < ln_f2 else ("alpha", a, "small"))
+    ``rho_max`` would underflow or overflow at ``params``.
+
+    Underflow: in a weight row the printed values need, w rho^2 for <rho>
+    and, at B > 0, w rho^3 for the Zeeman term, at rho_max with w <= 4 pi
+    rho rho_max; names rho0, alpha or beta, whichever sets rho_max.
+    Overflow: in the largest weight row, w rho^4 at rho_max; in f^2 <= p^2
+    G^2 at rho_max (p <= 1 at finite rho0, G = exp(-beta B rho^2) <= 1 at
+    beta B >= 0); or in the largest term, about w (rho^2 + 1/(2 alpha))^2
+    psi^2 (the z extent of the moments) at rho = min(rho_max, 2/alpha).
+    Names gamma where p^2 alone overflows, beta where G^2 alone does, else
+    alpha, which sets the rule's extent."""
+    a, g, c = params.alpha, params.gamma or 0.0, params.beta * cfg.B
+    ln_rho = math.log(rho_max) if rho_max else -math.inf
+    ln_w = math.log(4.0 * math.pi) + ln_rho
+    if ln_w + (4.0 if cfg.B else 3.0) * ln_rho < _LN_MIN_ROW:
+        # rho_max is rho0 or _LN_CUT / (a + hypot(a, sqrt(2 c _LN_CUT)))
+        name, size = (("rho0", "small") if rho_max == cfg.rho0 else
+                      ("alpha", "large") if a * a >= 2.0 * c * _LN_CUT else
+                      ("beta", "large"))
+        way = "underflow"
+    else:
+        r = min(rho_max, 2.0 / a)
+        checks = [  # w rho^4, p^2, G^2 and the largest term
+            (ln_w + 5.0 * ln_rho, "alpha", "small"),
+            (2.0 * math.log1p((g * rho_max) * (g * rho_max)), "gamma",
+             "large"),
+            (-2.0 * c * rho_max * rho_max if c < 0 else 0.0, "beta",
+             "negative"),
+            (ln_w + math.log(r) + 2.0 * math.log(r * r + 0.5 / a)
+             + 2.0 * (math.log1p((g * r) * (g * r)) - r * (a + c * r)),
+             "alpha", "small")]
+        over = [(name, size) for ln, name, size in checks
+                if ln > _LN_MAX_TERM]
+        if not over:
+            return
+        (name, size), way = over[0], "overflow"
+    value = {"alpha": a, "beta": params.beta, "gamma": g,
+             "rho0": cfg.rho0}[name]
     raise ValueError(f"{name} = {value:g} is too {size}: the sums over the "
                      f"{n_rho}-node radial rule out to rho = {rho_max:g} "
-                     f"would overflow a double")
+                     f"would {way} a double")
 
 
 @dataclass(frozen=True)

@@ -82,14 +82,18 @@ def admissible_bounds(cfg: SystemConfig) -> dict[str, tuple[float, bool]]:
 def check_admissible(values: Mapping[str, float | None],
                      cfg: SystemConfig) -> None:
     """Raise ValueError naming the first value outside the admissible set;
-    a value of None is unset, every other value and gamma^2 are finite, beta
-    enters only as beta*B and so is 0 at B = 0, and gamma applies only at
-    rho0 = inf."""
+    a value of None is unset, every other value, gamma^2 and beta*B are
+    finite, beta enters only as beta*B and so is 0 at B = 0, and gamma
+    applies only at rho0 = inf."""
     for name, v in values.items():
-        power = "^2" if name == "gamma" else ""  # gamma enters squared
-        if v is not None and not math.isfinite(v * v if power else v):
+        if v is None:
+            continue
+        # gamma enters squared, beta as beta*B
+        term, x = {"gamma": ("^2", v * v),
+                   "beta": ("*B", v * cfg.B)}.get(name, ("", v))
+        if not math.isfinite(x):
             raise ValueError(f"{name} = {v:g} is not admissible: the trial "
-                             f"state needs a finite {name}{power}")
+                             f"state needs a finite {name}{term}")
     for name, (low, strict) in admissible_bounds(cfg).items():
         v = values.get(name)
         if v is not None and not (v > low if strict else v >= low):

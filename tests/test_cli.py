@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import pytest
 
 from cylvar import cli, optimizer
-from cylvar.cli import build_parser, main, _parse_rho0
+from cylvar.cli import main, _parse_rho0
 from cylvar.records import CSV_HEADER
 
 
@@ -121,6 +122,32 @@ def test_wide_cavity_binding_is_served(capsys):
      "alpha"),
     # the moment of |z| holds 1/(2 alpha)^2
     (["--B", "0", "--rho0", "5", "--alpha", "1e-160", "--nu", "2"], "alpha"),
+    # beta B < 0: G^2 = exp(-2 beta B rho^2) at the wall overflows f^2
+    (["--B", "1", "--rho0", "30", "--alpha", "1", "--nu", "2",
+      "--beta", "-0.4"], "beta"),
+    (["--B", "1", "--rho0", "30", "--alpha", "1", "--nu", "2",
+      "--beta", "-0.5"], "beta"),
+    (["--B", "1", "--rho0", "30", "--alpha", "1", "--nu", "2",
+      "--beta", "-0.8"], "beta"),
+    (["--B", "1", "--rho0", "30", "--alpha", "1", "--nu", "2",
+      "--beta", "-2"], "beta"),
+    # beta*B is not a double
+    (["--B", "1e10", "--rho0", "inf", "--alpha", "1", "--beta", "1e300",
+      "--gamma", "0.1"], "beta"),
+    # the rule ends at about 72/alpha, or sqrt(72/(beta B)), where the
+    # weight rows w rho^2 (and w rho^3 at B > 0) underflow
+    (["--B", "0", "--rho0", "5", "--alpha", "1e100", "--nu", "2"], "alpha"),
+    (["--B", "0", "--rho0", "5", "--alpha", "1e140", "--nu", "2"], "alpha"),
+    (["--B", "0", "--rho0", "5", "--alpha", "1e300", "--nu", "2"], "alpha"),
+    (["--B", "0", "--rho0", "inf", "--alpha", "1e200", "--gamma", "0"],
+     "alpha"),
+    (["--B", "1e150", "--rho0", "5", "--alpha", "1e65", "--beta", "0",
+      "--nu", "2"], "alpha"),
+    (["--B", "1", "--rho0", "2", "--alpha", "1", "--nu", "2",
+      "--beta", "1e200"], "beta"),
+    (["--B", "1", "--rho0", "2", "--alpha", "1", "--nu", "2",
+      "--beta", "1e300"], "beta"),
+    (["--B", "0", "--rho0", "1e-80", "--alpha", "1", "--nu", "2"], "rho0"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -147,6 +174,28 @@ def test_small_pinned_alpha_is_served(argv, capsys):
         code, out, err = run(["energy"] + argv, capsys)
     assert code == 0
     assert len(out.splitlines()) == 2
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv,e", [
+    (["--B", "1", "--rho0", "30", "--alpha", "1", "--nu", "2",
+      "--beta", "-0.3"], "202.122219"),
+    (["--B", "1", "--rho0", "30", "--alpha", "1", "--nu", "2",
+      "--beta", "-0.05"], "108.702614"),
+    (["--B", "0", "--rho0", "5", "--alpha", "1e20", "--nu", "2"], "5e+39"),
+    (["--B", "0", "--rho0", "5", "--alpha", "1e50", "--nu", "2"], "5e+99"),
+    (["--B", "0", "--rho0", "5", "--alpha", "1e75", "--nu", "2"], "5e+149"),
+    (["--B", "1", "--rho0", "2", "--alpha", "1", "--nu", "2",
+      "--beta", "1e100"], "1e+100"),
+])
+def test_pinned_value_short_of_a_refusal_is_served(argv, e, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["observables"] + argv, capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == e
+    assert "= 0 " not in out.splitlines()[2]  # no observable underflows
     assert err == ""
     assert [str(w.message) for w in caught] == []
 
@@ -288,6 +337,47 @@ def test_config_value_outside_choices_exits_2(command, config, tmp_path,
     assert list(tmp_path.iterdir()) == [path]
 
 
+def outcome(argv, capsys, tmp_path):
+    """Exit code, stdout, stderr and the files ``main(argv)`` wrote into
+    ``tmp_path``, which it then deletes."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    written = {}
+    for path in tmp_path.iterdir():
+        if path.name != "cfg.json":
+            written[path.name] = path.read_text()
+            path.unlink()
+    return code, out.out, out.err, written
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    ("scan", {"B-list": 0.4, "rho0-list": "2"},
+     ["--B-list", "0.4", "--rho0-list", "2"]),
+    ("fit-tail", {"rho0-list": 2}, ["--rho0-list", "2"]),
+    ("energy", {"nodes": 64.5}, ["--nodes", "64.5"]),
+    ("scan", {"jobs": 1.5}, ["--jobs", "1.5"]),
+    ("energy", {"rho0": 0}, ["--rho0", "0"]),
+    # a key matches its flag by dest; one that is no flag of the command is
+    # ignored, as are "config" and a null value
+    ("scan", {"rho0_list": "2", "B_list": 0.4, "gamma": 0.1, "fn": "x",
+              "command": "energy", "config": "other.json", "nodes": None},
+     ["--rho0-list", "2", "--B-list", "0.4"]),
+    ("scan", {"B-list": [0, 0.4], "rho0-list": "2", "nodes": 32},
+     ["--B-list", "0,0.4", "--rho0-list", "2", "--nodes", "32"]),
+])
+def test_config_value_is_read_as_its_flag(command, config, flags, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CYLVAR_JOBS", raising=False)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    from_config = outcome([command, "--config", "cfg.json"], capsys,
+                          tmp_path)
+    assert from_config == outcome([command, *flags], capsys, tmp_path)
+
+
 def test_verify_appendix(capsys):
     code, out, _ = run(["verify-appendix"], capsys)
     assert code == 0
@@ -352,59 +442,94 @@ def test_entropy_writes_optional_file(tmp_path, capsys):
     assert float(s) == pytest.approx(3.0 + 1.1447298858, abs=1e-3)
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("CYLVAR_JOBS", "3")
-    assert build_parser().parse_args(["scan"]).jobs == 3
-    monkeypatch.delenv("CYLVAR_JOBS")
-    assert build_parser().parse_args(["scan"]).jobs == 1
+def scan_call(argv, monkeypatch, capsys):
+    """The (B, rho0) grid, node count and jobs that ``main(argv)`` hands to
+    ``optimizer.scan``."""
+    seen = []
 
+    def scan(grid, spec, jobs):
+        seen.append(([(cfg.B, cfg.rho0) for cfg in grid], spec.n_rho, jobs))
+        raise RuntimeError("scan stopped")
 
-def test_flag_then_config_then_env_then_default(monkeypatch):
-    monkeypatch.setenv("CYLVAR_JOBS", "3")
-    config = {"jobs": 2, "rho0-list": "1,inf", "nodes": "48"}
-    args = build_parser(config).parse_args(["scan", "--nodes", "32"])
-    assert (args.nodes, args.jobs) == (32, 2)
-    assert args.rho0_list == [1.0, math.inf]
-    assert args.B_list == [0.0] and args.out == "scan.csv"
-    args = build_parser({}).parse_args(["scan"])
-    assert (args.nodes, args.jobs) == (64, 3)
+    monkeypatch.setattr(optimizer, "scan", scan)
+    assert run(argv, capsys)[0] == 1
+    return seen[-1]
 
 
 PINNED = ["energy", "--B", "0", "--rho0", "2", "--alpha", "1.1058",
           "--beta", "0", "--nu", "3.4951", "--nodes", "32"]
 
 
-def test_main_builds_the_parser_once(monkeypatch, capsys):
+def test_jobs_env_default(monkeypatch, capsys):
+    # CYLVAR_JOBS is read as --jobs, so the flag beats it, and a value the
+    # flag refuses is a usage error
+    monkeypatch.setenv("CYLVAR_JOBS", "3")
+    assert scan_call(["scan"], monkeypatch, capsys)[2] == 3
+    assert scan_call(["scan", "--jobs", "2"], monkeypatch, capsys)[2] == 2
+    monkeypatch.setenv("CYLVAR_JOBS", "1.5")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan"])
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid int value: '1.5'" in \
+        capsys.readouterr().err
+    # a command without --jobs does not read it
+    assert run(PINNED, capsys)[0] == 0
+
+
+def test_flag_then_config_then_env_then_default(tmp_path, monkeypatch,
+                                                capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"jobs": 2, "rho0-list": "1,inf",
+                                "nodes": "48"}))
+    default_grid = [(0.0, r) for r in (2.5, 3.0, 3.5, 4.0, 4.5, 5.0)]
+    monkeypatch.setenv("CYLVAR_JOBS", "3")
+    assert scan_call(["scan", "--config", str(path), "--nodes", "32"],
+                     monkeypatch, capsys) == \
+        ([(0.0, 1.0), (0.0, math.inf)], 32, 2)
+    assert scan_call(["scan", "--jobs", "4", "--config", str(path)],
+                     monkeypatch, capsys)[1:] == (48, 4)
+    assert scan_call(["scan"], monkeypatch, capsys) == (default_grid, 64, 3)
+    monkeypatch.delenv("CYLVAR_JOBS")
+    assert scan_call(["scan"], monkeypatch, capsys) == (default_grid, 64, 1)
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": 1.0, "nu": 2.0, "nodes": 48}))
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    one = built  # the parser and its subcommands' parsers
     monkeypatch.delenv("CYLVAR_JOBS", raising=False)
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return build_parser(*args)
-
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", counted)
     first = run(PINNED, capsys)
-    assert run(PINNED, capsys) == first
     assert first[0] == 0
-    assert calls == 1
+    assert run(PINNED, capsys) == first
+    assert run(["energy", "--config", str(path), "--B", "0", "--rho0", "2",
+                "--beta", "0"], capsys)[0] == 0
+    for env in ("3", "2"):
+        monkeypatch.setenv("CYLVAR_JOBS", env)
+        scan_call(["scan"], monkeypatch, capsys)
+    assert run(PINNED, capsys) == first
+    assert built == one
+    assert cli.build_parser() is parser
 
 
 def test_main_honours_a_jobs_env_change(monkeypatch, capsys):
     seen = []
-
-    def scan(grid, spec, jobs):
-        seen.append(jobs)
-        raise RuntimeError("scan stopped")
-
-    monkeypatch.setattr(optimizer, "scan", scan)
     for env in ("3", "2", None):
         if env is None:
             monkeypatch.delenv("CYLVAR_JOBS")
         else:
             monkeypatch.setenv("CYLVAR_JOBS", env)
-        assert run(["scan"], capsys)[0] == 1
+        seen.append(scan_call(["scan"], monkeypatch, capsys)[2])
     assert seen == [3, 2, 1]
 
 

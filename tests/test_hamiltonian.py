@@ -57,13 +57,20 @@ def test_invalid_params_raise():
     cfg = SystemConfig(B=1.0, rho0=math.inf)
     with pytest.raises(ValueError, match="beta"):
         energy(TrialParams(alpha=1.0, beta=0.0, gamma=0.0), cfg, SPEC)
-    # admissible, but psi vanishes on every node: the norm is checked
-    # before any sum is divided by it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="norm"):
+        # the rule built at alpha = 1e300 ends at 7e-299, where its weight
+        # rows underflow
+        with pytest.raises(ValueError, match="alpha = 1e.300 is too large"):
             energy(TrialParams(alpha=1e300, beta=0.0, gamma=0.0), FREE_H,
                    SPEC)
+        # admissible, but psi vanishes on every node of a rule built for a
+        # far wider density: the norm is checked before any sum is divided
+        # by it
+        wide = fixed_rule(TrialParams(alpha=1.0, gamma=0.0), FREE_H, SPEC)
+        with pytest.raises(ArithmeticError, match="norm"):
+            energy(TrialParams(alpha=1e14, beta=0.0, gamma=0.0), FREE_H,
+                   SPEC, wide)
 
 
 @st.composite
@@ -325,9 +332,13 @@ def test_rule_stops_where_the_density_is_negligible(monkeypatch):
             pytest.approx(ln_cut, rel=1e-14)
     narrow_cavity = SystemConfig(B=4.0, rho0=2.0)
     assert fixed_rule(params, narrow_cavity, spec).rho_max == 2.0
+    # the rule at beta B = +1 would end near 7.6
     growing = replace(params, beta=-0.25)
-    assert fixed_rule(growing, SystemConfig(B=4.0, rho0=1e3),
-                      spec).rho_max == 1e3
+    assert fixed_rule(growing, SystemConfig(B=4.0, rho0=10.0),
+                      spec).rho_max == 10.0
+    # out to 1e3, f^2 = exp(2 rho^2) would overflow
+    with pytest.raises(ValueError, match="beta = -0.25 is too negative"):
+        fixed_rule(growing, SystemConfig(B=4.0, rho0=1e3), spec)
     # energy() rebuilds a rule that does not resolve the density it is
     # given, and takes one that reaches beyond it.  The rule built at
     # alpha = 3 ends where psi^2 at alpha = 1 is e^-48, not negligible.
