@@ -159,11 +159,17 @@ class FixedRule:
         rho0], rho_w = rho0 2^(-1/nu) where 1 - x^nu falls to 1/2, unless
         psi^2 is that small at rho_w.  At finite rho0, where p <= 1, its log
         is at most -2 rho (alpha + beta B rho), convex or falling, so both
-        ends decide; at rho0 = inf it falls beyond 2/alpha.  Raises
-        ValueError where the sums on the rule would overflow."""
+        ends decide; at rho0 = inf it falls beyond 2/alpha.  The rule also
+        ends within four times ``_rule_end`` at ``params``, the margin
+        _LN_CUT grants, so that its inner nodes, graded toward the axis,
+        reach the density's core (at beta B < 0 that end is rho0, and any
+        rule passes).  Raises ValueError where the sums on the rule would
+        overflow."""
         _check_terms(params, cfg, self.rho_max, self.rho.size)
         g = params.gamma or 0.0
         c = params.beta * cfg.B
+        if _rule_end(params, cfg) < 0.25 * self.rho_max:
+            return False
 
         def ln_psi2(r):
             return 2.0 * (math.log1p((g * r)**2) - r * (params.alpha + c * r))
@@ -189,15 +195,20 @@ class FixedRule:
 M_R0, M_RHO, M_INV_R, R2_MR0, M1, R2_M1, RHO_M1 = range(7)
 
 
+def _rule_end(params: TrialParams, cfg: SystemConfig) -> float:
+    """Where the rule built at ``params`` stops: at rho0, or at the
+    positive root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is
+    nearer.  No such root bounds the density when beta B < 0."""
+    a, c = params.alpha, params.beta * cfg.B
+    return cfg.rho0 if c < 0 else min(
+        cfg.rho0, _LN_CUT / (a + math.hypot(a, math.sqrt(2.0 * c * _LN_CUT))))
+
+
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
                spec: QuadratureSpec) -> FixedRule:
-    """The rule built at ``params``: its nodes stop at rho0, or at the
-    positive root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is
-    nearer.  No such root bounds the density when beta B < 0.  Raises
+    """The rule built at ``params``, out to ``_rule_end``.  Raises
     ValueError where the sums on it would overflow (``_check_terms``)."""
-    a, c = params.alpha, params.beta * cfg.B
-    rho_max = cfg.rho0 if c < 0 else min(
-        cfg.rho0, _LN_CUT / (a + math.hypot(a, math.sqrt(2.0 * c * _LN_CUT))))
+    rho_max = _rule_end(params, cfg)
     _check_terms(params, cfg, rho_max, spec.n_rho)
     rho, weight = cylinder_grid(rho_max, spec)
     x = rho / cfg.rho0

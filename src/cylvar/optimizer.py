@@ -7,8 +7,11 @@ names only what it pins; every other parameter that acts at its (B, rho0)
 is free (``OptimizeRequest.free_params``), and one that acts on nothing
 there keeps its ``TrialParams`` default.  Each point is one solve per basin
 of the energy (two when beta and nu are both free, else one), each from its
-own start (``OptimizeRequest.starts``), and the lowest of them.  Lower
-bounds from ``trialfn.admissible_bounds`` keep every step admissible.
+own start (``OptimizeRequest.starts``), and the lowest of them.  Inside the
+paper's box (B <= 1, 0.8 <= rho0 <= 5, Coulomb term on) a start is its
+basin's optimum, interpolated from a committed table in (B, ln rho0);
+outside it the fixed starts remain.  Lower bounds from
+``trialfn.admissible_bounds`` keep every step admissible.
 
 The solver steps in alpha, beta*B, ln nu and gamma, the coordinates the
 kernel differentiates in: psi depends on beta only through beta*B, and E
@@ -53,7 +56,9 @@ _PARAM_NAMES = ("alpha", "beta", "nu", "gamma")
 # compete: a soft one (nu near 2, often with a Gaussian rising towards the
 # wall) and a sharp one (large nu, beta*B near 0, the B = 0 shape).  Which
 # is lower changes with B and rho0, and each solve stays in the basin it
-# starts in, so there is one start in each: the soft one first.
+# starts in, so there is one start in each: the soft one first.  Inside the
+# paper's box a start comes from the table of optima below
+# (``_basin_starts``); outside it, these fixed values remain.
 DEFAULT_STARTS = (
     TrialParams(alpha=1.0, beta=0.1, nu=2.0),
     TrialParams(alpha=1.0, beta=0.0, nu=4.0),
@@ -62,6 +67,124 @@ DEFAULT_STARTS = (
 # The start for the unconfined variant; the Landau factor needs beta > 0
 # there.
 INF_STARTS = (TrialParams(alpha=1.0, beta=0.2, nu=2.0, gamma=0.1),)
+
+# Each basin's optimum, where its solve from DEFAULT_STARTS ends on 64
+# nodes, as (alpha, beta*B, ln nu) at the nodes of the paper's box: rows
+# B = 0+ (the B -> 0+ limit, solved at B = 1e-9, where beta*B is free and
+# so differs from the B = 0 optimum), 0.25, 0.5, 0.75 and 1; columns
+# rho0 = 0.8 * 6.25^(k/6) for k = 0..6.  A sharp start that reaches the
+# soft optimum has that as its entry.  At B = 0, (alpha, ln nu) at the
+# same rho0.
+# ``test_start_table_holds_each_basins_optimum`` checks every entry, and
+# ``python tests/test_optimizer.py`` prints the table anew.
+_BASIN_OPTIMA = (
+    (  # soft
+        (  # B = 0+
+            (1.39533865, 0.309213749, 0.987225948),
+            (1.27793069, 0.0812823563, 1.02041454),
+            (1.1791693, -0.0359465397, 1.00880733),
+            (1.10109113, -0.0881516586, 0.928366183),
+            (1.04529046, -0.0971217145, 0.790071058),
+            (1.0135365, -0.0803046042, 0.651444641),
+            (1.0020469, -0.0536756562, 0.576167439),
+        ),
+        (  # B = 0.25
+            (1.39536339, 0.309108117, 0.986966047),
+            (1.27801151, 0.0810781795, 1.01953706),
+            (1.1794094, -0.0360910766, 1.00633439),
+            (1.1017543, -0.0874549008, 0.923601246),
+            (1.0471184, -0.0940142421, 0.786429428),
+            (1.01771814, -0.0727151611, 0.66265459),
+            (1.00855037, -0.0395073973, 0.638751542),
+        ),
+        (  # B = 0.5
+            (1.39543762, 0.30879498, 0.986188559),
+            (1.27825344, 0.0804878119, 1.01692856),
+            (1.18012629, -0.0364156789, 0.999132109),
+            (1.10373707, -0.0850544992, 0.910449476),
+            (1.05244804, -0.084250494, 0.77854847),
+            (1.02879011, -0.0496098684, 0.703913178),
+            (1.02283741, 0.00128333674, 0.861857094),
+        ),
+        (  # B = 0.75
+            (1.39556126, 0.308285506, 0.984900055),
+            (1.27865497, 0.0795752416, 1.01265806),
+            (1.18131111, -0.0366192641, 0.987798776),
+            (1.10701338, -0.0801984994, 0.891683209),
+            (1.06079908, -0.0668451268, 0.773365489),
+            (1.04333451, -0.0109575516, 0.790781782),
+            (1.03268484, 0.0475260397, 1.02590616),
+        ),
+        (  # B = 1.0
+            (1.3957342, 0.307596007, 0.983110131),
+            (1.27921391, 0.078445721, 1.00683921),
+            (1.18295236, -0.0362758386, 0.973181353),
+            (1.11152672, -0.0720235899, 0.870489479),
+            (1.07139128, -0.0408971197, 0.777885593),
+            (1.05727176, 0.0403816192, 0.923485515),
+            (1.04292986, 0.0885572949, 1.03314279),
+        ),
+    ),
+    (  # sharp
+        (  # B = 0+
+            (1.39533864, 0.309213652, 0.98722589),
+            (1.27793069, 0.0812822595, 1.02041443),
+            (1.1791693, -0.035946543, 1.00880732),
+            (1.10109113, -0.0881516548, 0.928366197),
+            (1.04248034, 0.0229107449, 1.62360685),
+            (1.01035249, 0.00929252501, 1.85126148),
+            (1.00044624, 0.00244482468, 2.11525638),
+        ),
+        (  # B = 0.25
+            (1.39536339, 0.309108022, 0.986965991),
+            (1.27801151, 0.0810780918, 1.01953697),
+            (1.1794094, -0.0360911106, 1.00633432),
+            (1.10175433, -0.0874546777, 0.923602065),
+            (1.04412673, 0.0274604926, 1.63054862),
+            (1.01366605, 0.0160268466, 1.85393353),
+            (1.00459884, 0.0121082027, 2.04765852),
+        ),
+        (  # B = 0.5
+            (1.39543761, 0.308794892, 0.986188506),
+            (1.27825344, 0.0804878002, 1.01692854),
+            (1.18012629, -0.0364156791, 0.999132109),
+            (1.10373707, -0.0850545016, 0.910449468),
+            (1.04888057, 0.0407035965, 1.64855576),
+            (1.02291342, 0.0343329451, 1.83266084),
+            (1.02283741, 0.00128333735, 0.861857105),
+        ),
+        (  # B = 0.75
+            (1.39556126, 0.308285428, 0.984900009),
+            (1.27865498, 0.0795756622, 1.01265852),
+            (1.1813111, -0.0366193511, 0.987798602),
+            (1.10701338, -0.0801984993, 0.891683209),
+            (1.06079908, -0.0668451255, 0.773365497),
+            (1.04333451, -0.0109575484, 0.790781817),
+            (1.03268482, 0.0475261644, 1.02590879),
+        ),
+        (  # B = 1.0
+            (1.39573424, 0.307597889, 0.983111245),
+            (1.27921391, 0.0784458222, 1.00683932),
+            (1.18295236, -0.0362759037, 0.973181223),
+            (1.11152669, -0.0720238751, 0.870488443),
+            (1.07139125, -0.0408972745, 0.777884616),
+            (1.05727174, 0.0403813791, 0.923482936),
+            (1.04292986, 0.0885573004, 1.0331429),
+        ),
+    ),
+)
+_ZERO_FIELD_OPTIMA = (
+    (1.39633657, 0.821535726),
+    (1.27702943, 0.937507978),
+    (1.18022083, 1.07835471),
+    (1.10577535, 1.25135285),
+    (1.05294216, 1.4660281),
+    (1.01998231, 1.73089048),
+    (1.00444377, 2.04954396),
+)
+
+_TABLE_RHO0 = 0.8  # the first rho0 node
+_TABLE_LN_STEP = math.log(6.25) / 6.0  # between rho0 nodes
 
 # A solve stops at a point where the Hessian of E over the free coordinates
 # is positive definite and the Newton decrement g^T H^-1 g / 2 is within
@@ -113,14 +236,12 @@ class OptimizeRequest:
     @cached_property
     def starts(self) -> tuple[TrialParams, ...]:
         """One start per basin of E, as ``free_params`` derived from
-        (B, rho0) and the pins: the unconfined start at rho0 = inf, the
-        soft and the sharp start when beta and nu are both free, else the
-        soft start alone, since with beta inert (B = 0) or pinned, or nu
-        pinned, both reach the same optimum."""
-        if math.isinf(self.cfg.rho0):
-            return INF_STARTS
-        return DEFAULT_STARTS[:2 if {"beta", "nu"} <= set(self.free_params)
-                              else 1]
+        (B, rho0) and the pins: those of ``_basin_starts(cfg)``, the soft
+        and the sharp start when beta and nu are both free, else the soft
+        start alone, since with beta inert (B = 0) or pinned, or nu pinned,
+        both reach the same optimum."""
+        return _basin_starts(self.cfg)[
+            :2 if {"beta", "nu"} <= set(self.free_params) else 1]
 
     @cached_property
     def _layout(self) -> tuple[tuple[str, float | None], ...]:
@@ -156,6 +277,39 @@ class OptimizeRequest:
 
 def _to_coordinate(value: float, scale: float | None) -> float:
     return math.log(value) if scale is None else value * scale
+
+
+def _lerp(a: Sequence[float], b: Sequence[float], w: float) -> list[float]:
+    return [u + w * (v - u) for u, v in zip(a, b)]
+
+
+def _basin_starts(cfg: SystemConfig) -> tuple[TrialParams, ...]:
+    """The start of each basin's solve at ``cfg``: inside the paper's box
+    (B <= 1, 0.8 <= rho0 <= 5, Coulomb term on) the table's optima,
+    interpolated bilinearly in (B, ln rho0) in the solver coordinates, one
+    start at B = 0; else ``INF_STARTS`` at rho0 = inf and ``DEFAULT_STARTS``
+    at finite rho0, never the table's edge."""
+    if math.isinf(cfg.rho0):
+        return INF_STARTS
+    if not (cfg.coulomb_on and cfg.B <= 1.0
+            and _TABLE_RHO0 <= cfg.rho0 <= 5.0):
+        return DEFAULT_STARTS
+    t = math.log(cfg.rho0 / _TABLE_RHO0) / _TABLE_LN_STEP
+    k = min(int(t), 5)
+
+    def at_rho0(row):
+        return _lerp(row[k], row[k + 1], t - k)
+    if cfg.B == 0.0:
+        alpha, ln_nu = at_rho0(_ZERO_FIELD_OPTIMA)
+        return (TrialParams(alpha=alpha, nu=math.exp(ln_nu)),)
+    j = min(int(4.0 * cfg.B), 3)
+    starts = []
+    for rows in _BASIN_OPTIMA:
+        alpha, c, ln_nu = _lerp(at_rho0(rows[j]), at_rho0(rows[j + 1]),
+                                4.0 * cfg.B - j)
+        starts.append(TrialParams(alpha=alpha, beta=c / cfg.B,
+                                  nu=math.exp(ln_nu)))
+    return tuple(starts)
 
 
 @dataclass(frozen=True)
@@ -305,17 +459,18 @@ def minimize(req: OptimizeRequest, spec: QuadratureSpec) -> OptimizeResult:
     ``evals`` counts objective evaluations over every solve; a request with
     no free parameter is one energy evaluation.
     """
+    if not req.free_params:
+        params = req.build_params(())
+        rule = hamiltonian.rule_for(params, req.cfg, spec)
+        return OptimizeResult(
+            params=params, energy=hamiltonian.energy(params, req.cfg, spec,
+                                                     rule),
+            evals=1, converged=True, start_index=0, rule=rule)
     # One rule for every solve.  It depends on the first start only through
     # the radius beyond which that start's density is negligible; a solve
     # whose density ends beyond it goes on on a wider one.
     rule = hamiltonian.rule_for(
         req.build_params(req.start_vector(req.starts[0])), req.cfg, spec)
-    if not req.free_params:
-        params = req.build_params(())
-        return OptimizeResult(
-            params=params, energy=hamiltonian.energy(params, req.cfg, spec,
-                                                     rule),
-            evals=1, converged=True, start_index=0, rule=rule)
     candidates = [_run_single_start(req, spec, start, rule, i)
                   for i, start in enumerate(req.starts)]
     best = _select_best(candidates)

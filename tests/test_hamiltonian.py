@@ -66,11 +66,27 @@ def test_invalid_params_raise():
                    SPEC)
         # admissible, but psi vanishes on every node of a rule built for a
         # far wider density: the norm is checked before any sum is divided
-        # by it
-        wide = fixed_rule(TrialParams(alpha=1.0, gamma=0.0), FREE_H, SPEC)
+        # by it.  At beta B < 0 a rule out to rho0 is kept however narrow
+        # the density; at beta B >= 0 one is rebuilt
+        # (test_reused_rule_reaches_a_narrow_core).
+        wall = SystemConfig(B=1.0, rho0=30.0)
+        wide = fixed_rule(TrialParams(alpha=1.0, beta=-0.01), wall, SPEC)
         with pytest.raises(ArithmeticError, match="norm"):
-            energy(TrialParams(alpha=1e14, beta=0.0, gamma=0.0), FREE_H,
-                   SPEC, wide)
+            energy(TrialParams(alpha=1e14, beta=-0.01), wall, SPEC, wide)
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e6])
+def test_reused_rule_reaches_a_narrow_core(alpha):
+    # The rule built at alpha = 1 ends at rho = 72, and its inner nodes,
+    # graded toward the axis, miss the core at alpha = 1e3: E on it was
+    # 498999.897, not alpha^2/2 - alpha.  A rule that ends beyond four
+    # times where the one built at the state would end does not resolve E
+    # there, so energy builds that one.
+    wide = fixed_rule(TrialParams(alpha=1.0, gamma=0.0), FREE_H, SPEC)
+    params = TrialParams(alpha=alpha, gamma=0.0)
+    assert not wide.resolves(params, FREE_H)
+    e = energy(params, FREE_H, SPEC, wide).total
+    assert e == pytest.approx(alpha * alpha / 2 - alpha, rel=1e-15)
 
 
 @st.composite

@@ -171,15 +171,17 @@ def test_readme_scan_takes_one_solve_per_basin(monkeypatch):
     assert all(r.converged for r in records)
     # one basin at B = 0 (beta inert), two at B > 0
     assert len(evals) == 6 * 1 + 18 * 2
-    # 308 evaluations on 64 nodes, the same with E and its derivatives
-    # scaled by each 1 + eps of test_convergence_does_not_depend_on_rounding
-    # (847 under L-BFGS-B, which spread over 820-913)
-    assert sum(r.evals for r in records) <= 14 * len(records)
+    # 119 evaluations on 64 nodes from the start table (308 from the fixed
+    # starts), the same with E and its derivatives scaled by each 1 + eps
+    # of test_convergence_does_not_depend_on_rounding (847 under L-BFGS-B,
+    # which spread over 820-913)
+    assert sum(r.evals for r in records) <= 6 * len(records)
 
 
 def test_zero_field_scan_evals_per_point():
-    # The 17-row B = 0 acceptance grid at 96 nodes: 132 evaluations, the
-    # same with E and its derivatives scaled by each 1 + eps of
+    # The 17-row B = 0 acceptance grid at 96 nodes: 96 evaluations from the
+    # start table inside rho0 <= 5 (132 from the fixed start), the same
+    # with E and its derivatives scaled by each 1 + eps of
     # test_convergence_does_not_depend_on_rounding (269 under L-BFGS-B,
     # which spread over 269-318).
     grid = [SystemConfig(B=0.0, rho0=r) for r in
@@ -187,7 +189,84 @@ def test_zero_field_scan_evals_per_point():
              8.0, 10.0, 15.0, math.inf)]
     records = scan(grid, QuadratureSpec(96))
     assert all(r.converged for r in records)
-    assert sum(r.evals for r in records) <= 9 * len(records)
+    assert sum(r.evals for r in records) <= 6 * len(records)
+
+
+# The nodes of the optimizer's start table (optimizer._BASIN_OPTIMA): the
+# B -> 0+ row is solved at B = 1e-9.
+TABLE_B = (1e-9, 0.25, 0.5, 0.75, 1.0)
+TABLE_RHO0 = tuple(0.8 * 6.25 ** (k / 6) for k in range(7))
+
+
+def table_entries():
+    """(B, rho0, basin, entry) for each entry of the start table."""
+    for basin, rows in enumerate(optimizer._BASIN_OPTIMA):
+        for B, row in zip(TABLE_B, rows):
+            for rho0, entry in zip(TABLE_RHO0, row):
+                yield B, rho0, basin, entry
+    for rho0, entry in zip(TABLE_RHO0, optimizer._ZERO_FIELD_OPTIMA):
+        yield 0.0, rho0, 0, entry
+
+
+def fixed_start_solve(B, rho0, basin):
+    """The solve from ``DEFAULT_STARTS[basin]`` at (B, rho0) on 64 nodes,
+    whose end is that basin's entry in the start table."""
+    req = default_request(SystemConfig(B=B, rho0=rho0))
+    return solve_from(req, SPEC, DEFAULT_STARTS[basin])
+
+
+def start_table_source() -> str:
+    """The source of ``optimizer._BASIN_OPTIMA`` and ``_ZERO_FIELD_OPTIMA``
+    from ``fixed_start_solve``, to 9 digits: after a change to the kernel
+    that moves the optima, ``python tests/test_optimizer.py`` prints it."""
+    def entry(B, rho0, basin):
+        p = fixed_start_solve(B, rho0, basin).params
+        coords = ((p.alpha, p.beta * B, math.log(p.nu)) if B
+                  else (p.alpha, math.log(p.nu)))
+        return "(" + ", ".join(f"{v:.9g}" for v in coords) + "),"
+    lines = ["_BASIN_OPTIMA = ("]
+    for basin, name in enumerate(("soft", "sharp")):
+        lines.append(f"    (  # {name}")
+        for B in TABLE_B:
+            lines.append(f"        (  # B = {B if B >= 0.25 else '0+'}")
+            lines += ["            " + entry(B, r, basin) for r in TABLE_RHO0]
+            lines.append("        ),")
+        lines.append("    ),")
+    lines += [")", "_ZERO_FIELD_OPTIMA = ("]
+    lines += ["    " + entry(0.0, r, 0) for r in TABLE_RHO0]
+    return "\n".join(lines + [")"])
+
+
+def test_start_table_holds_each_basins_optimum():
+    # At each node the start is the entry, and from it the basin's solve
+    # converges within 2 evaluations (each converges at its first; an entry
+    # 1% off in alpha takes 3) at the E that the solve from the fixed start
+    # reaches, to rounding: a change to the kernel that moves an optimum
+    # leaves no stale entry unnoticed.
+    for B, rho0, basin, entry in table_entries():
+        req = default_request(SystemConfig(B=B, rho0=rho0))
+        start = req.starts[basin]
+        assert req.start_vector(start) == pytest.approx(list(entry),
+                                                        rel=1e-7, abs=1e-8)
+        res = solve_from(req, SPEC, start)
+        e = fixed_start_solve(B, rho0, basin).energy.total
+        assert res.converged and res.evals <= 2, (B, rho0, basin)
+        assert abs(res.energy.total - e) <= _ROUNDING_DECREASE * max(abs(e),
+                                                                    1.0)
+
+
+@pytest.mark.parametrize("cfg,starts", [
+    (SystemConfig(B=1.0001, rho0=2.0), DEFAULT_STARTS),
+    (SystemConfig(B=0.5, rho0=0.79), DEFAULT_STARTS),
+    (SystemConfig(B=0.5, rho0=5.01), DEFAULT_STARTS),
+    (SystemConfig(B=0.0, rho0=200.0), DEFAULT_STARTS[:1]),
+    (SystemConfig(B=0.5, rho0=2.0, coulomb_on=False), DEFAULT_STARTS),
+    (SystemConfig(B=0.5, rho0=math.inf), INF_STARTS),
+])
+def test_start_table_serves_only_the_papers_box(cfg, starts):
+    # Outside B <= 1, 0.8 <= rho0 <= 5 with the Coulomb term on the solves
+    # start from the fixed values, not from the table's edge.
+    assert default_request(cfg).starts == starts
 
 
 def solver_objective(req, rule):
@@ -400,6 +479,7 @@ def test_each_basin_start_can_win():
 
 
 def test_all_fixed_degenerates_to_single_evaluation(monkeypatch):
+    # One evaluation of E at the pins; the start table is never read.
     cfg = SystemConfig(B=0.0, rho0=2.0)
     fixed = {"alpha": 1.1, "beta": 0.0, "nu": 3.5}
     calls = 0
@@ -410,7 +490,11 @@ def test_all_fixed_degenerates_to_single_evaluation(monkeypatch):
         calls += 1
         return energy(*args)
 
+    def lookup(cfg):
+        raise AssertionError("the start table was read")
+
     monkeypatch.setattr(hamiltonian, "energy", counted)
+    monkeypatch.setattr(optimizer, "_basin_starts", lookup)
     res = minimize(default_request(cfg, fixed=fixed), SPEC)
     monkeypatch.undo()
     assert res.evals == calls == 1
@@ -633,3 +717,7 @@ def test_wide_cavity_energy_approaches_its_unconfined_limit(B):
     fine = hamiltonian.energy(results[2].params, cfgs[2],
                               QuadratureSpec(128)).total
     assert abs(e[2] - fine) <= 1e-12
+
+
+if __name__ == "__main__":
+    print(start_table_source())
