@@ -4,8 +4,7 @@ cylinder under an axial magnetic field."""
 from .quadrature import QuadratureSpec
 from .trialfn import TrialParams, SystemConfig
 from .hamiltonian import (EnergyBreakdown, Observables, energy, observables,
-                          binding_energy, reference_energy,
-                          fit_large_rho0_tail)
+                          reference_energy, fit_large_rho0_tail)
 from .optimizer import (OptimizeRequest, OptimizeResult, minimize, scan,
                         default_request, DEFAULT_STARTS)
 from .specfun import J01, kummer_m, landau_cylinder_energy

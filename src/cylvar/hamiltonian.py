@@ -50,7 +50,6 @@ __all__ = [
     "energy_derivatives",
     "observables",
     "reference_energy",
-    "binding_energy",
     "fit_large_rho0_tail",
 ]
 
@@ -68,9 +67,7 @@ class EnergyBreakdown:
 class Observables:
     mean_rho: float
     mean_abs_z: float
-    aspect_ratio: float
     shannon_r: float
-    cusp_Z: float
 
 
 # A rule stops where exp(-2 alpha r - 2 beta B rho^2) falls below eps^4 of
@@ -103,7 +100,7 @@ def _check_terms(params: TrialParams, cfg: SystemConfig, rho_max: float,
     ln_rho = math.log(rho_max) if rho_max else -math.inf
     ln_w = math.log(4.0 * math.pi) + ln_rho
     if ln_w + (4.0 if cfg.B else 3.0) * ln_rho < _LN_MIN_ROW:
-        # rho_max is rho0 or _LN_CUT / (a + hypot(a, sqrt(2 c _LN_CUT)))
+        # rho_max is rho0 or _rule_end's root, alpha's if a^2 >= 2 c _LN_CUT
         name, size = (("rho0", "small") if rho_max == cfg.rho0 else
                       ("alpha", "large") if a * a >= 2.0 * c * _LN_CUT else
                       ("beta", "large"))
@@ -160,14 +157,11 @@ class FixedRule:
         psi^2 is that small at rho_w.  At finite rho0, where p <= 1, its log
         is at most -2 rho (alpha + beta B rho), convex or falling, so both
         ends decide; at rho0 = inf it falls beyond 2/alpha.  The rule also
-        ends within four times ``_rule_end`` at ``params``, the margin
-        _LN_CUT grants, so that its inner nodes, graded toward the axis,
-        reach the density's core (at beta B < 0 that end is rho0, and any
-        rule passes).  Raises ValueError where the sums on the rule would
-        overflow."""
+        ends within four times ``_rule_end`` at ``params`` (the margin
+        _LN_CUT grants), so its graded inner nodes reach the density's core.
+        Raises ValueError where the sums on the rule would overflow."""
         _check_terms(params, cfg, self.rho_max, self.rho.size)
-        g = params.gamma or 0.0
-        c = params.beta * cfg.B
+        g, c = params.gamma or 0.0, params.beta * cfg.B
         if _rule_end(params, cfg) < 0.25 * self.rho_max:
             return False
 
@@ -196,12 +190,18 @@ M_R0, M_RHO, M_INV_R, R2_MR0, M1, R2_M1, RHO_M1 = range(7)
 
 
 def _rule_end(params: TrialParams, cfg: SystemConfig) -> float:
-    """Where the rule built at ``params`` stops: at rho0, or at the
-    positive root of 2 beta B rho^2 + 2 alpha rho = _LN_CUT if that is
-    nearer.  No such root bounds the density when beta B < 0."""
+    """Where the rule built at ``params`` stops: at the first root of
+    2 beta B rho^2 + 2 alpha rho = _LN_CUT, where the envelope exp(-2 alpha
+    rho - 2 beta B rho^2) falls to e^-_LN_CUT, if the envelope is below that
+    at rho0 too (its log is convex or falling, so it stays below between
+    the two); else at rho0."""
     a, c = params.alpha, params.beta * cfg.B
-    return cfg.rho0 if c < 0 else min(
-        cfg.rho0, _LN_CUT / (a + math.hypot(a, math.sqrt(2.0 * c * _LN_CUT))))
+    t = math.sqrt(2.0 * abs(c) * _LN_CUT)  # a^2 may overflow, so no a^2 - t^2
+    if c >= 0:
+        return min(cfg.rho0, _LN_CUT / (a + math.hypot(a, t)))
+    if a < t or 2.0 * cfg.rho0 * (a + c * cfg.rho0) < _LN_CUT:
+        return cfg.rho0  # no root, or the envelope rises into the wall
+    return _LN_CUT / (a + math.sqrt(a - t) * math.sqrt(a + t))
 
 
 def fixed_rule(params: TrialParams, cfg: SystemConfig,
@@ -465,9 +465,9 @@ def energy_derivatives(params: TrialParams, cfg: SystemConfig,
 
 def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
                 rule: FixedRule | None = None) -> Observables:
-    """<rho>, <|z|>, their ratio, position-space Shannon entropy and cusp,
-    from the moment rows on the rule ``energy`` takes, ``rule_for(params,
-    cfg, spec, rule)``, which raises ArithmeticError where none resolves E.
+    """<rho>, <|z|> and the position-space Shannon entropy, from the
+    moment rows on the rule ``energy`` takes, ``rule_for(params, cfg, spec,
+    rule)``, which raises ArithmeticError where none resolves E.
 
     The density is f^2 h^2 / N with N = sum f^2 m_1, so <rho> = sum f^2 rho
     m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = int |z| h^2 dz times the
@@ -493,21 +493,13 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     mean_abs_z = float(f2 @ m_abs_z) / norm
     shannon_r = (math.log(norm) - 2.0 * float((f2 * ln_f) @ m1) / norm
                  + a * (float(f2 @ moments[M_R0]) + norm / a) / norm)
-    return Observables(mean_rho=mean_rho,
-                       mean_abs_z=mean_abs_z,
-                       aspect_ratio=mean_rho / (2.0 * mean_abs_z),
-                       shannon_r=shannon_r,
-                       cusp_Z=params.alpha)
+    return Observables(mean_rho=mean_rho, mean_abs_z=mean_abs_z,
+                       shannon_r=shannon_r)
 
 
 def reference_energy(cfg: SystemConfig) -> float:
     """Coulomb-free ground energy E0 of the same cavity and field."""
     return landau_cylinder_energy(cfg.B, cfg.rho0)
-
-
-def binding_energy(e_total: float, cfg: SystemConfig) -> float:
-    """E_b = E0 - E: energy gained by switching on the Coulomb term."""
-    return reference_energy(cfg) - e_total
 
 
 def fit_large_rho0_tail(records):

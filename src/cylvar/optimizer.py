@@ -496,23 +496,19 @@ def point_record(cfg: SystemConfig, spec: QuadratureSpec,
     e0 = hamiltonian.reference_energy(cfg)
     result = minimize(default_request(cfg, fixed), spec)
     obs = hamiltonian.observables(result.params, cfg, spec, result.rule)
-    e = result.energy.total
-    return ScanRecord(B=cfg.B, rho0=cfg.rho0, E=e,
+    return ScanRecord(B=cfg.B, rho0=cfg.rho0, E=result.energy.total,
                       alpha=result.params.alpha, beta=result.params.beta,
                       nu=result.params.nu, gamma=result.params.gamma,
-                      E0=e0, Eb=e0 - e,
-                      mean_rho=obs.mean_rho, mean_abs_z=obs.mean_abs_z,
-                      aspect_ratio=obs.aspect_ratio,
-                      shannon_r=obs.shannon_r, cusp_Z=obs.cusp_Z,
+                      E0=e0, mean_rho=obs.mean_rho,
+                      mean_abs_z=obs.mean_abs_z, shannon_r=obs.shannon_r,
                       converged=result.converged, evals=result.evals)
 
 
 def _failed_record(cfg: SystemConfig) -> ScanRecord:
     nan = float("nan")
     return ScanRecord(B=cfg.B, rho0=cfg.rho0, E=nan, alpha=nan, beta=nan,
-                      nu=nan, gamma=None, E0=nan, Eb=nan, mean_rho=nan,
-                      mean_abs_z=nan, aspect_ratio=nan, shannon_r=nan,
-                      cusp_Z=nan, converged=False, evals=0)
+                      nu=nan, gamma=None, E0=nan, mean_rho=nan, mean_abs_z=nan,
+                      shannon_r=nan, converged=False, evals=0)
 
 
 def _scan_point(cfg: SystemConfig,

@@ -29,14 +29,26 @@ class ScanRecord:
     nu: float
     gamma: float | None
     E0: float
-    Eb: float
     mean_rho: float
     mean_abs_z: float
-    aspect_ratio: float
     shannon_r: float
-    cusp_Z: float
     converged: bool
     evals: int
+
+    @property
+    def Eb(self) -> float:
+        """E0 - E: the binding energy."""
+        return self.E0 - self.E
+
+    @property
+    def aspect_ratio(self) -> float:
+        """<rho>/(2<|z|>)."""
+        return self.mean_rho / (2.0 * self.mean_abs_z)
+
+    @property
+    def cusp_Z(self) -> float:
+        """alpha: the cusp charge."""
+        return self.alpha
 
     @property
     def bound_state(self) -> bool:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cylvar import cli, optimizer
 from cylvar.cli import main, _parse_rho0
 from cylvar.records import CSV_HEADER
+from test_acceptance import _tail_fit_window
 
 
 def run(argv, capsys):
@@ -200,6 +202,16 @@ def test_pinned_value_short_of_a_refusal_is_served(argv, e, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_narrow_core_with_a_density_rising_into_the_wall_is_served(capsys):
+    # At beta B < 0 the core's extent (6.95) lies inside a quarter of rho0,
+    # but exp(-2 alpha rho - 2 beta B rho^2) climbs back above e^-_LN_CUT at
+    # the wall, so the rule runs out to rho0 and must pass its own check.
+    code, out, err = run(["energy", "--B", "1", "--rho0", "30", "--alpha",
+                          "12.8", "--beta", "-0.35", "--nu", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[2] == "68.4757375"
+
+
 @pytest.mark.parametrize("argv,same_as", [
     (["--B", "1", "--rho0", "3", "--alpha", "1", "--nu", "2",
       "--beta", "-1e-3"], "-0.001"),
@@ -228,6 +240,40 @@ def test_compare2d_coulomb_off_compares_like_with_like(capsys):
     fields = dict(tok.split("=") for tok in out.split()[2:])
     assert fields["E2d"] == "0.722898245"
     assert float(fields["ratio"]) == pytest.approx(1.0078, abs=1e-4)
+
+
+def test_compare2d_writes_its_ratios(tmp_path, capsys):
+    # one "rho0 ratio B" line per grid point, as printed on stdout
+    path = tmp_path / "ratios.dat"
+    code, out, _ = run(["compare2d", "--B", "0,2", "--rho0", "0.8,5",
+                        "--out", str(path)], capsys)
+    assert code == 0
+    printed = [dict(tok.rstrip(":").split("=") for tok in line.split())
+               for line in out.splitlines()]
+    written = [line.split() for line in path.read_text().splitlines()]
+    assert len(printed) == len(written) == 4
+    for fields, (rho0, ratio, b) in zip(printed, written):
+        assert (float(rho0), ratio, float(b)) == (
+            float(fields["rho0"]), fields["ratio"], float(fields["B"]))
+
+
+def test_fit_tail_prints_the_fit_and_writes_its_pairs(tmp_path, capsys):
+    # criterion 9's radii: the fit lies in its window, and each radius's
+    # optimized E is written as "rho0 E"
+    path = tmp_path / "tail.dat"
+    radii = ["2.5", "3", "3.5", "4", "4.5", "5"]
+    code, out, _ = run(["fit-tail", "--rho0-list", ",".join(radii),
+                        "--out", str(path)], capsys)
+    assert code == 0
+    line, = out.splitlines()
+    fit = re.fullmatch(r"E\(rho0\) ~ -0\.5 \+ A / rho0\^x with "
+                       r"A = (\S+), x = (\S+)", line)
+    (a_lo, a_hi), (x_lo, x_hi) = _tail_fit_window()
+    assert a_lo <= float(fit[1]) <= a_hi
+    assert x_lo <= float(fit[2]) <= x_hi
+    pairs = [row.split() for row in path.read_text().splitlines()]
+    assert [rho0 for rho0, _ in pairs] == radii
+    assert all(-0.5 < float(e) < 0 for _, e in pairs)
 
 
 @pytest.mark.parametrize("pins", [["--nu", "1e300"],

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st, target
 
-from cylvar.hamiltonian import (binding_energy, energy, energy_derivatives,
+from cylvar import hamiltonian
+from cylvar.hamiltonian import (energy, energy_derivatives,
                                 fit_large_rho0_tail, fixed_rule, observables,
                                 reference_energy)
+from cylvar.optimizer import point_record
 from cylvar.quadrature import QuadratureSpec
 from cylvar.specfun import J01, landau_cylinder_energy
 from cylvar.trialfn import SystemConfig, TrialParams, evaluate
@@ -64,15 +66,21 @@ def test_invalid_params_raise():
         with pytest.raises(ValueError, match="alpha = 1e.300 is too large"):
             energy(TrialParams(alpha=1e300, beta=0.0, gamma=0.0), FREE_H,
                    SPEC)
-        # admissible, but psi vanishes on every node of a rule built for a
-        # far wider density: the norm is checked before any sum is divided
-        # by it.  At beta B < 0 a rule out to rho0 is kept however narrow
-        # the density; at beta B >= 0 one is rebuilt
-        # (test_reused_rule_reaches_a_narrow_core).
+        # admissible: a rule out to rho0 at beta B < 0 is not kept for a
+        # core far narrower than it, and E is served on the rule built at
+        # the state (test_narrow_core_at_negative_beta_b)
         wall = SystemConfig(B=1.0, rho0=30.0)
         wide = fixed_rule(TrialParams(alpha=1.0, beta=-0.01), wall, SPEC)
-        with pytest.raises(ArithmeticError, match="norm"):
-            energy(TrialParams(alpha=1e14, beta=-0.01), wall, SPEC, wide)
+        e = energy(TrialParams(alpha=1e14, beta=-0.01), wall, SPEC, wide)
+        assert e.total == pytest.approx(0.5e28 - 1e14, rel=1e-15)
+
+
+def test_zero_norm_raises(monkeypatch):
+    # the norm is checked before any sum is divided by it
+    monkeypatch.setattr(hamiltonian, "_rayleigh_sums",
+                        lambda *args: (0.0, 0.0, 0.0, 0.0, math.inf, [], []))
+    with pytest.raises(ArithmeticError, match="trial norm 0"):
+        energy(EXACT_1S, FREE_H, SPEC)
 
 
 @pytest.mark.parametrize("alpha", [1e3, 1e6])
@@ -87,6 +95,24 @@ def test_reused_rule_reaches_a_narrow_core(alpha):
     assert not wide.resolves(params, FREE_H)
     e = energy(params, FREE_H, SPEC, wide).total
     assert e == pytest.approx(alpha * alpha / 2 - alpha, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e6])
+def test_narrow_core_at_negative_beta_b(alpha):
+    # At beta B < 0 the rule also ends at the core's extent where the
+    # density is negligible from there to the wall: the rule out to rho0
+    # left the core between its inner nodes, and E at alpha = 1e3 was
+    # 498999.946 at 64 nodes, below the 498999.98224 that finer rules agree
+    # on.  A rule out to rho0 built at alpha = 1 is not kept either.
+    wall = SystemConfig(B=1.0, rho0=30.0)
+    wide = fixed_rule(TrialParams(alpha=1.0, beta=-0.01), wall, SPEC)
+    params = TrialParams(alpha=alpha, beta=-0.01)
+    assert fixed_rule(params, wall, SPEC).rho_max < 0.01 * wall.rho0
+    assert not wide.resolves(params, wall)
+    fine = energy(params, wall, QuadratureSpec(256)).total
+    for rule in (None, wide):
+        assert energy(params, wall, SPEC, rule).total == pytest.approx(
+            fine, rel=1e-15)
 
 
 @st.composite
@@ -272,19 +298,27 @@ OBSERVABLE_RTOL = dict(mean_rho=1e-12, mean_abs_z=1e-12, shannon_r=1e-9)
 @pytest.mark.parametrize("params,cfg,wrt", GRADIENT_STATES)
 def test_observables_match_grid_sums(params, cfg, wrt):
     obs = observables(params, cfg, SPEC)
-    for name, ref in grid_observables(params, cfg).items():
+    refs = grid_observables(params, cfg)
+    for name, ref in refs.items():
         assert getattr(obs, name) == pytest.approx(
             ref, rel=OBSERVABLE_RTOL[name]), name
-    assert obs.aspect_ratio == obs.mean_rho / (2.0 * obs.mean_abs_z)
+    # the row of the same pinned state carries them, and their ratio
+    rec = point_record(cfg, SPEC, fixed={name: getattr(params, name)
+                                         for name in wrt})
+    assert (rec.mean_rho, rec.mean_abs_z, rec.shannon_r) == (
+        obs.mean_rho, obs.mean_abs_z, obs.shannon_r)
+    assert rec.aspect_ratio == pytest.approx(
+        refs["mean_rho"] / (2.0 * refs["mean_abs_z"]), rel=3e-12)
 
 
 def test_observables_free_atom():
     obs = observables(EXACT_1S, FREE_H, SPEC)
     assert obs.mean_rho == pytest.approx(3.0 * math.pi / 8.0, abs=1e-9)
     assert obs.mean_abs_z == pytest.approx(0.75, abs=1e-9)
-    assert obs.aspect_ratio == pytest.approx(math.pi / 4.0, abs=1e-9)
     assert obs.shannon_r == pytest.approx(3.0 + math.log(math.pi), abs=1e-9)
-    assert obs.cusp_Z == 1.0
+    rec = point_record(FREE_H, SPEC, fixed=dict(alpha=1.0, gamma=0.0))
+    assert rec.aspect_ratio == pytest.approx(math.pi / 4.0, abs=1e-9)
+    assert rec.cusp_Z == 1.0
 
 
 def test_observables_entropy_matches_dblquad(shannon_entropy_dblquad):
@@ -306,8 +340,9 @@ def test_reference_energy_branches():
 def test_binding_energy_positive_for_bound_atom():
     cfg = SystemConfig(B=0.0, rho0=2.0)
     e = energy(TrialParams(alpha=1.1, beta=0.0, nu=3.5), cfg, SPEC).total
-    assert binding_energy(e, cfg) > 0.0
-    assert binding_energy(e, cfg) == pytest.approx(reference_energy(cfg) - e)
+    rec = point_record(cfg, SPEC, fixed=dict(alpha=1.1, nu=3.5))
+    assert rec.Eb > 0.0
+    assert rec.Eb == reference_energy(cfg) - e
 
 
 def test_tail_fit_recovers_synthetic_model():

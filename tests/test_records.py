@@ -5,21 +5,22 @@ import math
 
 import pytest
 
+from cylvar.optimizer import _failed_record
 from cylvar.records import (CSV_HEADER, ScanRecord, format_float, write_csv,
                             write_json)
+from cylvar.trialfn import SystemConfig
 
 
 def sample_records():
     return [
         ScanRecord(B=0.0, rho0=2.0, E=-0.276756213, alpha=1.10578354,
                    beta=0.0, nu=3.49507, gamma=None, E0=0.722901,
-                   Eb=0.999657, mean_rho=0.712345678, mean_abs_z=0.81,
-                   aspect_ratio=0.44, shannon_r=2.9338874, cusp_Z=1.105,
-                   converged=True, evals=321),
+                   mean_rho=0.712345678, mean_abs_z=0.81,
+                   shannon_r=2.9338874, converged=True, evals=321),
         ScanRecord(B=1.0, rho0=math.inf, E=-0.330456, alpha=1.06,
-                   beta=0.245, nu=2.0, gamma=0.31, E0=0.5, Eb=0.830456,
-                   mean_rho=0.8915, mean_abs_z=1.18, aspect_ratio=0.377,
-                   shannon_r=3.46, cusp_Z=1.06, converged=False, evals=777),
+                   beta=0.245, nu=2.0, gamma=0.31, E0=0.5,
+                   mean_rho=0.8915, mean_abs_z=1.18,
+                   shannon_r=3.46, converged=False, evals=777),
     ]
 
 
@@ -32,10 +33,21 @@ def test_header_is_frozen():
 def test_bound_state_is_derived():
     rec = sample_records()[0]
     assert rec.bound_state
-    # not a field: always computed from the energy sign
-    assert "bound_state" not in {f.name for f in dataclasses.fields(rec)}
+    # none is a field: each is computed from the fields it names
+    fields = {f.name for f in dataclasses.fields(rec)}
+    assert len(fields) == 13
+    assert fields.isdisjoint({"bound_state", "Eb", "aspect_ratio", "cusp_Z"})
     assert not dataclasses.replace(rec, E=0.3).bound_state
     assert not dataclasses.replace(rec, E=math.nan).bound_state
+    for rec in sample_records():
+        assert rec.Eb == rec.E0 - rec.E
+        assert rec.aspect_ratio == rec.mean_rho / (2.0 * rec.mean_abs_z)
+        assert rec.cusp_Z == rec.alpha
+    # NaN on the row of a point that failed
+    failed = _failed_record(SystemConfig(B=0.4, rho0=2.0))
+    assert not failed.bound_state
+    assert all(math.isnan(getattr(failed, name))
+               for name in ("Eb", "aspect_ratio", "cusp_Z"))
 
 
 def test_format_float():
