@@ -467,7 +467,8 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
                 rule: FixedRule | None = None) -> Observables:
     """<rho>, <|z|> and the position-space Shannon entropy, from the
     moment rows on the rule ``energy`` takes, ``rule_for(params, cfg, spec,
-    rule)``, which raises ArithmeticError where none resolves E.
+    rule)``.  Raises ValueError outside the admissible set and
+    ArithmeticError where no rule resolves E, as ``energy`` does.
 
     The density is f^2 h^2 / N with N = sum f^2 m_1, so <rho> = sum f^2 rho
     m_1 / N, <|z|> = sum f^2 m_|z| / N with m_|z| = int |z| h^2 dz times the
@@ -475,6 +476,7 @@ def observables(params: TrialParams, cfg: SystemConfig, spec: QuadratureSpec,
     S = -<ln(f^2 h^2 / N)> = ln N - (2/N) sum f^2 ln f m_1 + (2 alpha/N)
     sum f^2 m_r, where sum f^2 m_r = sum f^2 M_R0 + N / (2 alpha).
     """
+    check_admissible(vars(params), cfg)
     rule = rule_for(params, cfg, spec, rule)
     moments = _moment_rows(params.alpha, rule)
     m1 = moments[M1]

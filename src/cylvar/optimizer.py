@@ -318,8 +318,8 @@ class OptimizeResult:
     energy: EnergyBreakdown
     evals: int
     converged: bool
-    # Which of ``req.starts`` the reported solve ran from: nothing in the
-    # package reads it, but a trace of the solves names the winner by it.
+    # Which of ``req.starts`` the reported solve ran from; ``_select_best``
+    # breaks ties on it.
     start_index: int
     # The rule the solves ran on, for the observables at the optimum.
     rule: hamiltonian.FixedRule | None = field(default=None, compare=False,

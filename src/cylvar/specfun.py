@@ -33,9 +33,10 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
     Delegates to the Bessel drum limit for z = B rho0^2 / 2 <= 1e-8.
     Otherwise the root lies in [max(B/2, drum), B/2 + drum] with drum =
     j01^2 / (2 rho0^2), and the Kummer function changes sign only once
-    there; it is found to 1e-14 of the bracket's top.  At rho0 = inf the
-    drum energy is 0 and E0 is the Landau level B/2.  Raises ValueError for
-    a rho0 so small that the drum energy overflows a double.
+    there; it is found to 1e-14 of the bracket's top, or is the low end
+    where the function has one sign at both ends.  At rho0 = inf the drum
+    energy is 0 and E0 is the Landau level B/2.  Raises ValueError for a
+    rho0 so small that the drum energy overflows a double.
     """
     r2 = rho0 * rho0
     drum = J01**2 / (2.0 * r2) if r2 > 0.0 else math.inf
@@ -51,12 +52,12 @@ def landau_cylinder_energy(B: float, rho0: float) -> float:
         return kummer_m(-(e0 / B - 0.5), 1.0, z)
 
     lo, hi = max(0.5 * B, drum), 0.5 * B + drum
-    if lo == hi:
-        # drum is below the rounding of B/2: the bracket is one double.
-        return hi
-    if not math.isfinite(g(hi)):
+    g_hi = g(hi)
+    if not math.isfinite(g_hi):
         # hyp1f1 overflows for z above ~710, where the root lies within
         # z*exp(-z) of the Landau level.
         return 0.5 * B
+    if g(lo) * g_hi > 0:  # E0 - lo is below rounding: g(lo) is noise
+        return lo
     return float(brentq(g, lo, hi, xtol=1e-14 * hi,
                         rtol=1e-14))

@@ -45,9 +45,10 @@ class TrialParams:
     gamma: float | None = None
 
 
-# The least B > 0: the solver steps in beta*B, and beta = (beta*B)/B
-# overflows for ordinary Gaussian widths once B nears the smallest normal.
-_MIN_FIELD = 1e-300
+# The field range: the solver steps in beta*B, and beta = (beta*B)/B
+# overflows for ordinary Gaussian widths once B nears the smallest normal;
+# the Zeeman term holds B^2, a double below 2^1022.
+_MIN_FIELD, _MAX_FIELD = 1e-300, 2.0**511
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,10 @@ class SystemConfig:
     coulomb_on: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.B < math.inf:
-            raise ValueError(f"B = {self.B!r} must be finite and non-negative")
-        if 0 < self.B < _MIN_FIELD:
-            raise ValueError(f"B = {self.B!r} must be 0 or at least "
-                             f"{_MIN_FIELD:g}, where beta = (beta*B)/B "
-                             f"stays finite")
+        if not (self.B == 0 or _MIN_FIELD <= self.B < _MAX_FIELD):
+            raise ValueError(f"B = {self.B!r} must be 0 or in "
+                             f"[{_MIN_FIELD:g}, {_MAX_FIELD:.3g}), where "
+                             f"beta = (beta*B)/B and B^2 stay finite")
         if not self.rho0 > 0:
             raise ValueError("rho0 must be positive (possibly inf)")
 
@@ -82,18 +81,12 @@ def admissible_bounds(cfg: SystemConfig) -> dict[str, tuple[float, bool]]:
 def check_admissible(values: Mapping[str, float | None],
                      cfg: SystemConfig) -> None:
     """Raise ValueError naming the first value outside the admissible set;
-    a value of None is unset, every other value, gamma^2 and beta*B are
-    finite, beta enters only as beta*B and so is 0 at B = 0, and gamma
-    applies only at rho0 = inf."""
+    a value of None is unset, every other value is finite, beta enters only
+    as beta*B and so is 0 at B = 0, and gamma applies only at rho0 = inf."""
     for name, v in values.items():
-        if v is None:
-            continue
-        # gamma enters squared, beta as beta*B
-        term, x = {"gamma": ("^2", v * v),
-                   "beta": ("*B", v * cfg.B)}.get(name, ("", v))
-        if not math.isfinite(x):
+        if v is not None and not math.isfinite(v):
             raise ValueError(f"{name} = {v:g} is not admissible: the trial "
-                             f"state needs a finite {name}{term}")
+                             f"state needs a finite {name}")
     for name, (low, strict) in admissible_bounds(cfg).items():
         v = values.get(name)
         if v is not None and not (v > low if strict else v >= low):
@@ -104,8 +97,10 @@ def check_admissible(values: Mapping[str, float | None],
     if cfg.B == 0 and beta is not None and beta != 0:
         raise ValueError(f"beta = {beta:g} is not admissible: beta enters "
                          f"only as beta*B, so at B = 0 it must be 0")
-    if values.get("gamma") is not None and not math.isinf(cfg.rho0):
-        raise ValueError("gamma only applies to the rho0 = inf variant")
+    gamma = values.get("gamma")
+    if gamma is not None and not math.isinf(cfg.rho0):
+        raise ValueError(f"gamma = {gamma:g} is not admissible: gamma "
+                         f"applies only at rho0 = inf")
 
 
 @dataclass(frozen=True)

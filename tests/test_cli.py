@@ -150,6 +150,9 @@ def test_wide_cavity_binding_is_served(capsys):
     (["--B", "1", "--rho0", "2", "--alpha", "1", "--nu", "2",
       "--beta", "1e300"], "beta"),
     (["--B", "0", "--rho0", "1e-80", "--alpha", "1", "--nu", "2"], "rho0"),
+    # above this field B^2 in the Zeeman term is not a double
+    (["--B", "1e160", "--rho0", "5", "--alpha", "1", "--beta", "0",
+      "--nu", "2"], "B"),
 ])
 def test_inadmissible_pinned_value_exits_1(argv, name, capsys):
     with warnings.catch_warnings(record=True) as caught:

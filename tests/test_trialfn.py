@@ -5,6 +5,8 @@ import pytest
 
 from dataclasses import asdict
 
+from cylvar.hamiltonian import observables
+from cylvar.quadrature import QuadratureSpec
 from cylvar.trialfn import (SystemConfig, TrialParams, check_admissible,
                             evaluate)
 
@@ -51,10 +53,14 @@ def test_analytic_derivatives_match_finite_differences(params, cfg):
 @pytest.mark.parametrize("params", [
     TrialParams(alpha=0.0), TrialParams(alpha=-1.0),
     TrialParams(alpha=1.0, nu=0.5), TrialParams(alpha=1.0, beta=0.1),
+    TrialParams(alpha=1.0, gamma=0.3),
 ])
 def test_invalid_params(params):
+    cfg = SystemConfig(B=0.0, rho0=2.0)
     with pytest.raises(ValueError, match="not admissible"):
-        check_admissible(asdict(params), SystemConfig(B=0.0, rho0=2.0))
+        check_admissible(asdict(params), cfg)
+    with pytest.raises(ValueError, match="not admissible"):
+        observables(params, cfg, QuadratureSpec(64))
 
 
 def test_rho_outside_cavity_raises():
@@ -66,7 +72,8 @@ def test_rho_outside_cavity_raises():
 @pytest.mark.parametrize("bad", [dict(B=-0.1), dict(B=math.nan),
                                  dict(B=math.inf), dict(rho0=0.0),
                                  dict(rho0=math.nan), dict(B=1e-301),
-                                 dict(B=5e-324)])
+                                 dict(B=5e-324), dict(B=1e160),
+                                 dict(B=2.0**511)])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         SystemConfig(**bad)
